@@ -268,24 +268,25 @@ func BenchmarkSimulatorThroughputObservability(b *testing.B) {
 	benchSimulatorThroughputFull(b, false, false, true)
 }
 
-// BenchmarkSimulatorThroughputSharded is the many-core speedup benchmark
-// (DESIGN.md §11): a 400-node, 8-rack cluster running a 96-task pipeline
-// spread evenly across racks, under the legacy kernel (shards=0) and the
-// sharded conservative-parallel kernel at 1 and 4 workers. tuples/s is
-// the comparison metric; on multi-core hardware shards=4 should exceed
-// shards=0 by ≥2×, while shards=1 measures the sharded kernel's window
-// and handoff overhead without any parallelism. Results for shards>=1
-// are byte-identical at every worker count, so the variants differ only
-// in wall-clock.
+// BenchmarkSimulatorThroughputSharded runs a 400-node, 8-rack cluster
+// executing a 96-task pipeline under the legacy kernel (shards=0) and the
+// sharded conservative-parallel kernel (DESIGN.md §11) at 1 and 4
+// workers. tuples/s is the comparison metric; shards=1 measures the
+// sharded kernel's window and handoff overhead without any parallelism.
+// Results for shards>=1 are byte-identical at every worker count, so the
+// variants differ only in wall-clock.
 func BenchmarkSimulatorThroughputSharded(b *testing.B) {
 	c, err := cluster.TwoRack(8, 50, cluster.EmulabNodeSpec())
 	if err != nil {
 		b.Fatal(err)
 	}
 	topo := benchEngineTopology(b, "shardbench", 32, false)
-	// Even spreading (not resource-aware packing) keeps every rack's lane
-	// busy — the placement a speedup measurement needs, not the one a
-	// network-cost minimizer would pick.
+	// Even gives task i the first free slot of node i, so the 96 tasks
+	// fill the first 96 nodes: rack-0 (32 s, 18 m) and rack-1 (14 m,
+	// 32 z). Only those two racks' lanes carry events, and pardes hands
+	// each worker a contiguous block of lanes, so at 4 workers or fewer
+	// both busy lanes share one worker (BENCHMARKS.md, "Sharded
+	// conservative-parallel kernel").
 	sched := rstorm.NewEvenScheduler()
 	for _, shards := range []int{0, 1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -8,9 +8,15 @@ import (
 
 // Cluster is an immutable description of racks, nodes, and the network
 // model. Build one with a Builder or a preset.
+//
+// Every node has an index, its position in declaration order, and every
+// rack an index, its position in Racks. Build resolves both once, so
+// per-node state elsewhere (GlobalState, the scheduler's working set) can
+// live in slices addressed by node index instead of maps keyed by NodeID.
 type Cluster struct {
-	nodes     map[NodeID]*Node
-	order     []NodeID
+	nodes     []*Node // declaration order: nodes[i] has index i
+	index     map[NodeID]int
+	rackOf    []int // node index -> rack index
 	racks     []RackID
 	rackNodes map[RackID][]NodeID
 	network   NetworkModel
@@ -60,50 +66,78 @@ func (b *Builder) Build() (*Cluster, error) {
 		return nil, fmt.Errorf("network model: %w", err)
 	}
 	c := &Cluster{
-		nodes:     make(map[NodeID]*Node, len(b.nodes)),
+		index:     make(map[NodeID]int, len(b.nodes)),
 		rackNodes: make(map[RackID][]NodeID),
 		network:   b.network,
 	}
+	rackIndex := make(map[RackID]int)
 	for _, n := range b.nodes {
-		if _, dup := c.nodes[n.ID]; dup {
+		if _, dup := c.index[n.ID]; dup {
 			return nil, fmt.Errorf("node %q declared twice", n.ID)
 		}
 		if err := n.Spec.validate(); err != nil {
 			return nil, fmt.Errorf("node %q: %w", n.ID, err)
 		}
 		nn := *n
-		c.nodes[n.ID] = &nn
-		c.order = append(c.order, n.ID)
-		if _, seen := c.rackNodes[n.Rack]; !seen {
+		c.index[n.ID] = len(c.nodes)
+		c.nodes = append(c.nodes, &nn)
+		r, seen := rackIndex[n.Rack]
+		if !seen {
+			r = len(c.racks)
+			rackIndex[n.Rack] = r
 			c.racks = append(c.racks, n.Rack)
 		}
+		c.rackOf = append(c.rackOf, r)
 		c.rackNodes[n.Rack] = append(c.rackNodes[n.Rack], n.ID)
 	}
 	return c, nil
 }
 
 // Node returns the node with the given ID, or nil.
-func (c *Cluster) Node(id NodeID) *Node { return c.nodes[id] }
+func (c *Cluster) Node(id NodeID) *Node {
+	if i, ok := c.index[id]; ok {
+		return c.nodes[i]
+	}
+	return nil
+}
+
+// Index returns the node's index, its position in declaration order, and
+// whether the node exists.
+func (c *Cluster) Index(id NodeID) (int, bool) {
+	i, ok := c.index[id]
+	return i, ok
+}
+
+// NodeAt returns the node at index i. The value is shared and must be
+// treated as read-only.
+func (c *Cluster) NodeAt(i int) *Node { return c.nodes[i] }
+
+// RackIndex returns the position in Racks of the rack holding the node at
+// index i.
+func (c *Cluster) RackIndex(i int) int { return c.rackOf[i] }
 
 // Nodes returns every node in declaration order. Node values are shared
 // and must be treated as read-only.
 func (c *Cluster) Nodes() []*Node {
-	out := make([]*Node, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.nodes[id])
-	}
+	out := make([]*Node, len(c.nodes))
+	copy(out, c.nodes)
 	return out
 }
 
 // NodeIDs returns node IDs in declaration order.
 func (c *Cluster) NodeIDs() []NodeID {
-	out := make([]NodeID, len(c.order))
-	copy(out, c.order)
+	out := make([]NodeID, len(c.nodes))
+	for i, n := range c.nodes {
+		out[i] = n.ID
+	}
 	return out
 }
 
 // Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.order) }
+func (c *Cluster) Size() int { return len(c.nodes) }
+
+// RackCount returns the number of racks.
+func (c *Cluster) RackCount() int { return len(c.racks) }
 
 // Racks returns rack IDs in first-seen order.
 func (c *Cluster) Racks() []RackID {
@@ -131,11 +165,21 @@ func (c *Cluster) NetworkDistance(a, b NodeID) float64 {
 	if a == b {
 		return c.network.DistanceIntraNode
 	}
-	na, nb := c.nodes[a], c.nodes[b]
-	if na == nil || nb == nil {
+	i, okA := c.index[a]
+	j, okB := c.index[b]
+	if !okA || !okB {
 		return c.network.DistanceInterRack
 	}
-	if na.Rack == nb.Rack {
+	return c.NetworkDistanceAt(i, j)
+}
+
+// NetworkDistanceAt is NetworkDistance between the nodes at indexes i and
+// j.
+func (c *Cluster) NetworkDistanceAt(i, j int) float64 {
+	switch {
+	case i == j:
+		return c.network.DistanceIntraNode
+	case c.rackOf[i] == c.rackOf[j]:
 		return c.network.DistanceIntraRack
 	}
 	return c.network.DistanceInterRack
@@ -150,8 +194,9 @@ func (c *Cluster) PathBetween(a, b NodeID, sameWorker bool) PathLevel {
 		}
 		return PathInterProcess
 	}
-	na, nb := c.nodes[a], c.nodes[b]
-	if na != nil && nb != nil && na.Rack == nb.Rack {
+	i, okA := c.index[a]
+	j, okB := c.index[b]
+	if okA && okB && c.rackOf[i] == c.rackOf[j] {
 		return PathInterNode
 	}
 	return PathInterRack
@@ -160,8 +205,8 @@ func (c *Cluster) PathBetween(a, b NodeID, sameWorker bool) PathLevel {
 // TotalCapacity sums the capacity of every node.
 func (c *Cluster) TotalCapacity() resource.Vector {
 	var total resource.Vector
-	for _, id := range c.order {
-		total = total.Add(c.nodes[id].Spec.Capacity)
+	for _, n := range c.nodes {
+		total = total.Add(n.Spec.Capacity)
 	}
 	return total
 }
@@ -170,7 +215,7 @@ func (c *Cluster) TotalCapacity() resource.Vector {
 func (c *Cluster) RackCapacity(rack RackID) resource.Vector {
 	var total resource.Vector
 	for _, id := range c.rackNodes[rack] {
-		total = total.Add(c.nodes[id].Spec.Capacity)
+		total = total.Add(c.Node(id).Spec.Capacity)
 	}
 	return total
 }

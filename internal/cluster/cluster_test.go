@@ -287,3 +287,38 @@ func TestNodeLookup(t *testing.T) {
 		t.Errorf("Node(ghost) = %v, want nil", n)
 	}
 }
+
+// TestIndexes checks the index-addressed accessors against the ID-keyed
+// ones on a cluster whose racks interleave in declaration order.
+func TestIndexes(t *testing.T) {
+	spec := NodeSpec{Capacity: resource.Vector{CPU: 100, MemoryMB: 1024}}
+	c, err := NewBuilder().
+		AddNode("a", "r1", spec).AddNode("b", "r0", spec).
+		AddNode("c", "r1", spec).AddNode("d", "r2", spec).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.RackCount() != 3 {
+		t.Errorf("RackCount = %d, want 3", c.RackCount())
+	}
+	racks := c.Racks()
+	for i, id := range c.NodeIDs() {
+		if got, ok := c.Index(id); !ok || got != i {
+			t.Errorf("Index(%s) = %d, %v; want %d", id, got, ok, i)
+		}
+		if n := c.NodeAt(i); n.ID != id {
+			t.Errorf("NodeAt(%d) = %s, want %s", i, n.ID, id)
+		}
+		if r := racks[c.RackIndex(i)]; r != c.Node(id).Rack {
+			t.Errorf("rack of %s = %s, want %s", id, r, c.Node(id).Rack)
+		}
+		for j, other := range c.NodeIDs() {
+			if got, want := c.NetworkDistanceAt(i, j), c.NetworkDistance(id, other); got != want {
+				t.Errorf("NetworkDistanceAt(%d, %d) = %v, want %v", i, j, got, want)
+			}
+		}
+	}
+	if _, ok := c.Index("ghost"); ok {
+		t.Error("Index(ghost) reports a node")
+	}
+}

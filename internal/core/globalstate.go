@@ -16,30 +16,45 @@ import (
 // GlobalState and hands it to schedulers; schedulers read it and Nimbus
 // applies accepted assignments atomically.
 //
+// Per-node state lives in slices addressed by the cluster's node index
+// (cluster.Index), so a scheduler copies it in one pass (view) rather
+// than through a map keyed by node ID.
+//
 // GlobalState is safe for concurrent use.
 type GlobalState struct {
 	mu        sync.Mutex
 	cluster   *cluster.Cluster
-	available map[cluster.NodeID]resource.Vector
-	slots     map[cluster.NodeID][]string // slot index -> owning topology ("" = free)
-	// reserved remembers, per topology and node, the total reservation so
-	// removal can release exactly what was taken.
-	reserved    map[string]map[cluster.NodeID]resource.Vector
+	available []resource.Vector
+	slots     [][]string // per node: slot index -> owning topology ("" = free); nil while failed
+	// reserved remembers, per topology, what it took on each node it uses
+	// so removal can release exactly what was taken.
+	reserved    map[string][]reservation
 	assignments map[string]*Assignment
+	// pos is Apply's scratch, all -1 between calls: a node's position in
+	// the reservation being built.
+	pos []int
+}
+
+// reservation is one topology's total demand on one node.
+type reservation struct {
+	node int
+	used resource.Vector
 }
 
 // NewGlobalState returns a GlobalState with every node fully available.
 func NewGlobalState(c *cluster.Cluster) *GlobalState {
 	s := &GlobalState{
 		cluster:     c,
-		available:   make(map[cluster.NodeID]resource.Vector, c.Size()),
-		slots:       make(map[cluster.NodeID][]string, c.Size()),
-		reserved:    make(map[string]map[cluster.NodeID]resource.Vector),
+		available:   make([]resource.Vector, c.Size()),
+		slots:       make([][]string, c.Size()),
+		reserved:    make(map[string][]reservation),
 		assignments: make(map[string]*Assignment),
+		pos:         make([]int, c.Size()),
 	}
-	for _, n := range c.Nodes() {
-		s.available[n.ID] = n.Spec.Capacity
-		s.slots[n.ID] = make([]string, n.Spec.Slots)
+	for i, n := range c.Nodes() {
+		s.available[i] = n.Spec.Capacity
+		s.slots[i] = make([]string, n.Spec.Slots)
+		s.pos[i] = -1
 	}
 	return s
 }
@@ -52,44 +67,55 @@ func (s *GlobalState) Cluster() *cluster.Cluster { return s.cluster }
 func (s *GlobalState) Available(id cluster.NodeID) resource.Vector {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.available[id]
+	if i, ok := s.cluster.Index(id); ok {
+		return s.available[i]
+	}
+	return resource.Vector{}
 }
 
-// AvailableAll returns a copy of the availability map.
+// AvailableAll returns a copy of the availability of every node, keyed by
+// node ID.
 func (s *GlobalState) AvailableAll() map[cluster.NodeID]resource.Vector {
+	ids := s.cluster.NodeIDs()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[cluster.NodeID]resource.Vector, len(s.available))
-	for k, v := range s.available {
-		out[k] = v
+	out := make(map[cluster.NodeID]resource.Vector, len(ids))
+	for i, id := range ids {
+		out[id] = s.available[i]
 	}
 	return out
+}
+
+// view copies every node's availability into avail and its lowest free
+// worker slot (-1 when none) into slot, both indexed by node index, under
+// one lock: a consistent picture for a scheduler to place against.
+//
+//rstorm:hotpath
+func (s *GlobalState) view(avail []resource.Vector, slot []int) {
+	s.mu.Lock()
+	copy(avail, s.available)
+	for i, sl := range s.slots {
+		slot[i] = firstFree(sl)
+	}
+	s.mu.Unlock()
+}
+
+// firstFree returns the lowest free slot index, or -1.
+func firstFree(sl []string) int {
+	for i, owner := range sl {
+		if owner == "" {
+			return i
+		}
+	}
+	return -1
 }
 
 // FreeSlots returns the free worker-slot indexes of a node, ascending.
 func (s *GlobalState) FreeSlots(id cluster.NodeID) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.freeSlotsLocked(id)
-}
-
-// FirstFreeSlot returns the lowest free worker-slot index of a node and
-// whether one exists. Unlike FreeSlots it allocates nothing, which matters
-// in scheduler inner loops that probe every node per task.
-func (s *GlobalState) FirstFreeSlot(id cluster.NodeID) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, owner := range s.slots[id] {
-		if owner == "" {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-func (s *GlobalState) freeSlotsLocked(id cluster.NodeID) []int {
 	var out []int
-	for i, owner := range s.slots[id] {
+	for i, owner := range s.slotsOf(id) {
 		if owner == "" {
 			out = append(out, i)
 		}
@@ -97,11 +123,29 @@ func (s *GlobalState) freeSlotsLocked(id cluster.NodeID) []int {
 	return out
 }
 
+// FirstFreeSlot returns the lowest free worker-slot index of a node and
+// whether one exists. Unlike FreeSlots it allocates nothing.
+func (s *GlobalState) FirstFreeSlot(id cluster.NodeID) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := firstFree(s.slotsOf(id))
+	return i, i >= 0
+}
+
+// slotsOf returns a node's slot table, nil for unknown or failed nodes.
+// Caller holds s.mu.
+func (s *GlobalState) slotsOf(id cluster.NodeID) []string {
+	if i, ok := s.cluster.Index(id); ok {
+		return s.slots[i]
+	}
+	return nil
+}
+
 // SlotOwner returns the topology owning a slot, or "" if free or unknown.
 func (s *GlobalState) SlotOwner(id cluster.NodeID, slot int) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sl := s.slots[id]
+	sl := s.slotsOf(id)
 	if slot < 0 || slot >= len(sl) {
 		return ""
 	}
@@ -159,10 +203,11 @@ func (s *GlobalState) Apply(topo *topology.Topology, a *Assignment) error {
 	}
 	// Validate before mutating anything.
 	for id, p := range a.Placements {
-		sl, ok := s.slots[p.Node]
+		i, ok := s.cluster.Index(p.Node)
 		if !ok {
 			return fmt.Errorf("task %d placed on unknown node %q", id, p.Node)
 		}
+		sl := s.slots[i]
 		if p.Slot < 0 || p.Slot >= len(sl) {
 			return fmt.Errorf("task %d placed on invalid slot %d of %q", id, p.Slot, p.Node)
 		}
@@ -171,16 +216,26 @@ func (s *GlobalState) Apply(topo *topology.Topology, a *Assignment) error {
 		}
 	}
 
-	perNode := make(map[cluster.NodeID]resource.Vector)
+	// Sum demand per node in task order, so the float accumulation is the
+	// same on every run.
+	var res []reservation
 	for _, task := range topo.Tasks() {
 		p := a.Placements[task.ID]
-		perNode[p.Node] = perNode[p.Node].Add(topo.TaskDemand(task))
-		s.slots[p.Node][p.Slot] = topo.Name()
+		i, _ := s.cluster.Index(p.Node)
+		k := s.pos[i]
+		if k < 0 {
+			k = len(res)
+			s.pos[i] = k
+			res = append(res, reservation{node: i})
+		}
+		res[k].used = res[k].used.Add(topo.TaskDemand(task))
+		s.slots[i][p.Slot] = topo.Name()
 	}
-	for node, used := range perNode {
-		s.available[node] = s.available[node].Sub(used)
+	for _, r := range res {
+		s.pos[r.node] = -1
+		s.available[r.node] = s.available[r.node].Sub(r.used)
 	}
-	s.reserved[topo.Name()] = perNode
+	s.reserved[topo.Name()] = res
 	s.assignments[topo.Name()] = a
 	return nil
 }
@@ -190,38 +245,44 @@ func (s *GlobalState) Apply(topo *topology.Topology, a *Assignment) error {
 func (s *GlobalState) Remove(topoName string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for node, used := range s.reserved[topoName] {
-		s.available[node] = s.available[node].Add(used)
-	}
-	delete(s.reserved, topoName)
-	delete(s.assignments, topoName)
-	for node, sl := range s.slots {
-		for i, owner := range sl {
+	// A topology owns slots only on the nodes it reserved: Apply claims
+	// slots where it reserves, and ReleaseNode drops a node's slots and
+	// its reservations together.
+	for _, r := range s.reserved[topoName] {
+		s.available[r.node] = s.available[r.node].Add(r.used)
+		for k, owner := range s.slots[r.node] {
 			if owner == topoName {
-				s.slots[node][i] = ""
+				s.slots[r.node][k] = ""
 			}
 		}
 	}
+	delete(s.reserved, topoName)
+	delete(s.assignments, topoName)
 }
 
 // ReleaseNode marks a node failed: its slots and reservations disappear and
-// its availability drops to zero. Returns the topologies that had tasks on
-// the node, sorted, so the caller can reschedule them.
+// its availability drops to zero, so removing an affected topology later
+// credits nothing back to the dead node. Returns the topologies that had
+// tasks on the node, sorted, so the caller can reschedule them.
 func (s *GlobalState) ReleaseNode(id cluster.NodeID) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	affectedSet := make(map[string]bool)
-	for topoName, perNode := range s.reserved {
-		if _, ok := perNode[id]; ok {
-			affectedSet[topoName] = true
+	i, ok := s.cluster.Index(id)
+	if !ok {
+		return nil
+	}
+	var out []string
+	for topoName, res := range s.reserved {
+		for k, r := range res {
+			if r.node == i {
+				s.reserved[topoName] = append(res[:k], res[k+1:]...)
+				out = append(out, topoName)
+				break
+			}
 		}
 	}
-	s.available[id] = resource.Vector{}
-	s.slots[id] = nil
-	out := make([]string, 0, len(affectedSet))
-	for name := range affectedSet {
-		out = append(out, name)
-	}
+	s.available[i] = resource.Vector{}
+	s.slots[i] = nil
 	sort.Strings(out)
 	return out
 }
@@ -230,11 +291,12 @@ func (s *GlobalState) ReleaseNode(id cluster.NodeID) []string {
 func (s *GlobalState) RestoreNode(id cluster.NodeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.cluster.Node(id)
-	if n == nil {
+	i, ok := s.cluster.Index(id)
+	if !ok {
 		return fmt.Errorf("unknown node %q", id)
 	}
-	s.available[id] = n.Spec.Capacity
-	s.slots[id] = make([]string, n.Spec.Slots)
+	n := s.cluster.Node(id)
+	s.available[i] = n.Spec.Capacity
+	s.slots[i] = make([]string, n.Spec.Slots)
 	return nil
 }

@@ -33,8 +33,9 @@ type IncrementalOptions struct {
 	// Nil means full node capacity.
 	Available map[cluster.NodeID]resource.Vector
 	// SlotFor resolves a worker slot on a node that currently hosts none
-	// of this topology's tasks. Nil defaults to slot 0 (single-topology
-	// clusters); Nimbus passes GlobalState.FirstFreeSlot.
+	// of this topology's tasks; a pass asks it at most once per node.
+	// Nil defaults to slot 0 (single-topology clusters); Nimbus passes
+	// GlobalState.FirstFreeSlot.
 	SlotFor func(cluster.NodeID) (int, bool)
 	// Frozen pins tasks to their current placement and excludes them from
 	// the walk entirely — they neither move nor consume the MaxMoves
@@ -111,6 +112,14 @@ const (
 	tierInvalid = 4 // hard constraint violated
 )
 
+// slotChoice is one node's worker slot for the topology being walked:
+// resolved once, from the topology's own worker on the node or else from
+// IncrementalOptions.SlotFor.
+type slotChoice struct {
+	slot         int
+	ok, resolved bool
+}
+
 // trafficNeighbor is one adjacent component seen from a task's component,
 // with the measured per-task-pair rate (tuples/sec) of the edge between
 // them. Both directions of a stream contribute: distance is symmetric, so
@@ -129,8 +138,8 @@ type trafficNeighbor struct {
 // per component (the profiler's EWMA), and a uniform split keeps the
 // objective well-defined without per-task-pair bookkeeping.
 type trafficScorer struct {
-	dist      [][]float64 // pairwise NetworkDistance by node index
-	nodeOf    map[int]int // task ID → node index, planned-so-far view
+	c         *cluster.Cluster
+	nodeOf    []int // task ID → node index, planned-so-far view
 	neighbors map[string][]trafficNeighbor
 	tasks     map[string][]int // component → live task IDs, dense order
 	// w is the per-node rate aggregation for the task currently being
@@ -142,34 +151,24 @@ type trafficScorer struct {
 
 // newTrafficScorer builds the scorer, or returns nil when the matrix is
 // absent or carries no signal (the pass then keeps the distance objective).
+// at holds each task's current node index, by task ID.
 func newTrafficScorer(
 	topo *topology.Topology,
 	c *cluster.Cluster,
-	current *Assignment,
 	opts IncrementalOptions,
-	ids []cluster.NodeID,
-	idx map[cluster.NodeID]int,
+	at []int,
 ) *trafficScorer {
 	if opts.Traffic.Total() <= 0 {
 		return nil
 	}
 	sc := &trafficScorer{
-		dist:      make([][]float64, len(ids)),
-		nodeOf:    make(map[int]int, topo.TotalTasks()),
+		c:         c,
+		nodeOf:    append([]int(nil), at...),
 		neighbors: make(map[string][]trafficNeighbor),
 		tasks:     make(map[string][]int),
-		w:         make([]float64, len(ids)),
-	}
-	for i, a := range ids {
-		sc.dist[i] = make([]float64, len(ids))
-		for j, b := range ids {
-			sc.dist[i][j] = c.NetworkDistance(a, b)
-		}
+		w:         make([]float64, c.Size()),
 	}
 	for _, task := range topo.Tasks() {
-		if p, ok := current.PlacementOf(task.ID); ok {
-			sc.nodeOf[task.ID] = idx[p.Node]
-		}
 		// Dead tasks are pinned corpses: they generate no traffic and must
 		// not anchor live neighbors to their node.
 		if !opts.Dead[task.ID] {
@@ -216,10 +215,9 @@ func (sc *trafficScorer) prepare(task topology.Task) {
 // distance objective).
 func (sc *trafficScorer) cost(i int) float64 {
 	var cost float64
-	d := sc.dist[i]
 	for n, wn := range sc.w {
 		if wn != 0 {
-			cost += wn * d[n]
+			cost += wn * sc.c.NetworkDistanceAt(i, n)
 		}
 	}
 	return cost
@@ -258,98 +256,82 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 		return nil, nil, fmt.Errorf("incremental reschedule of %q needs a complete current assignment", topo.Name())
 	}
 
-	ids := c.NodeIDs()
-	idx := make(map[cluster.NodeID]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	demandOf := func(task topology.Task) resource.Vector {
+	// Per-task state by task ID (IDs are dense) and per-node state by
+	// node index, so the walk below touches no map in its node loop.
+	nodes := c.Nodes()
+	tasks := topo.Tasks()
+	demands := make([]resource.Vector, len(tasks)) // measured, else declared
+	for _, task := range tasks {
 		if d, ok := opts.Demands[task.Component]; ok {
-			return d
+			demands[task.ID] = d
+		} else {
+			demands[task.ID] = topo.TaskDemand(task)
 		}
-		return topo.TaskDemand(task)
 	}
 
 	// Availability under the measured demands: base minus every task's
-	// demand at its current placement.
-	avail := make([]resource.Vector, len(ids))
-	for i, id := range ids {
+	// demand at its current placement. Alongside, this topology's worker
+	// slot per node for move targets (the scheduler packs one worker per
+	// node per topology), taken from the task with the lowest ID on the
+	// node so a node hosting several worker slots (a default-even
+	// placement) resolves deterministically.
+	avail := make([]resource.Vector, len(nodes))
+	for i, n := range nodes {
 		if opts.Available != nil {
-			avail[i] = opts.Available[id]
-		} else if n := c.Node(id); n != nil {
+			avail[i] = opts.Available[n.ID]
+		} else {
 			avail[i] = n.Spec.Capacity
 		}
 	}
-	for _, task := range topo.Tasks() {
-		p, ok := current.PlacementOf(task.ID)
-		if !ok {
-			continue
-		}
-		ni, ok := idx[p.Node]
+	at := make([]int, len(tasks)) // current node index
+	slots := make([]slotChoice, len(nodes))
+	for _, task := range tasks {
+		p := current.Placements[task.ID]
+		ni, ok := c.Index(p.Node)
 		if !ok {
 			return nil, nil, fmt.Errorf("task %d currently on unknown node %q", task.ID, p.Node)
+		}
+		at[task.ID] = ni
+		if !slots[ni].resolved {
+			slots[ni] = slotChoice{slot: p.Slot, ok: true, resolved: true}
 		}
 		if opts.Dead[task.ID] || opts.Restart[task.ID] {
 			continue
 		}
-		avail[ni] = avail[ni].Sub(demandOf(task))
+		avail[ni] = avail[ni].Sub(demands[task.ID])
+	}
+	// slotFor resolves, once per node, a worker slot on a node that hosts
+	// none of this topology's tasks. GlobalState does not change during
+	// the pass, so neither does the answer.
+	slotFor := func(i int) (int, bool) {
+		sc := &slots[i]
+		if !sc.resolved {
+			sc.resolved = true
+			if opts.SlotFor != nil {
+				sc.slot, sc.ok = opts.SlotFor(nodes[i].ID)
+			} else {
+				sc.slot, sc.ok = 0, true
+			}
+		}
+		return sc.slot, sc.ok
 	}
 
 	// Ref node per Algorithm 4 over the measured availability, fixing the
 	// network-distance axis for the whole pass.
-	availMap := make(map[cluster.NodeID]resource.Vector, len(ids))
-	for i, id := range ids {
-		availMap[id] = avail[i]
-	}
-	refNode := s.pickRefNode(c, availMap)
-	netdist := make([]float64, len(ids))
-	for i, id := range ids {
-		netdist[i] = c.NetworkDistance(refNode, id)
-	}
+	netdist := make([]float64, len(nodes))
+	s.refDistances(c, avail, netdist)
 
-	// This topology's worker slot per node, for move targets (the
-	// scheduler packs one worker per node per topology). Walk tasks in
-	// dense-ID order so a node hosting several worker slots (a
-	// default-even placement) resolves deterministically to the lowest
-	// task's slot rather than to map iteration order.
-	slotOn := make(map[cluster.NodeID]int, len(ids))
-	for _, task := range topo.Tasks() {
-		p, ok := current.PlacementOf(task.ID)
-		if !ok {
-			continue
-		}
-		if _, seen := slotOn[p.Node]; !seen {
-			slotOn[p.Node] = p.Slot
-		}
-	}
-	slotFor := func(id cluster.NodeID) (int, bool) {
-		if slot, ok := slotOn[id]; ok {
-			return slot, true
-		}
-		if opts.SlotFor != nil {
-			return opts.SlotFor(id)
-		}
-		return 0, true
-	}
-
-	// Node memory capacities for the headroom tier. The availability
-	// vector alone cannot express "fill fraction": it is capacity minus
-	// everyone's usage, so the capacity itself is needed as the divisor.
-	memCap := make([]float64, len(ids))
-	if opts.MemHeadroom > 0 {
-		for i, id := range ids {
-			if n := c.Node(id); n != nil {
-				memCap[i] = n.Spec.Capacity.MemoryMB
-			}
-		}
-	}
+	hard := s.classes.Hard()
 	tierOf := func(i int, a, d resource.Vector) int {
-		if !resource.SatisfiesHard(a, d, s.classes) {
+		if !hard.Satisfies(a, d) {
 			return tierInvalid
 		}
 		if a.CPU >= d.CPU {
-			if opts.MemHeadroom > 0 && memCap[i] > 0 &&
-				memCap[i]-(a.MemoryMB-d.MemoryMB) <= opts.MemHeadroom*memCap[i] {
+			// The headroom tier needs the node's memory capacity: the
+			// availability vector alone cannot express "fill fraction",
+			// being capacity minus everyone's usage.
+			if memCap := nodes[i].Spec.Capacity.MemoryMB; opts.MemHeadroom > 0 && memCap > 0 &&
+				memCap-(a.MemoryMB-d.MemoryMB) <= opts.MemHeadroom*memCap {
 				return tierMemSafe
 			}
 			return tierCPUFit
@@ -362,16 +344,19 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 	// offenders escape an overloaded node first, and once they have
 	// drained it below capacity the small tasks see a feasible home and
 	// stay put — which is what keeps the move count minimal.
+	size := make([]float64, len(tasks))
+	for id, d := range demands {
+		size[id] = s.weights.Apply(d).Total()
+	}
 	order := s.ordering(topo)
 	sort.SliceStable(order, func(i, j int) bool {
-		return s.weights.Apply(demandOf(order[i])).Total() >
-			s.weights.Apply(demandOf(order[j])).Total()
+		return size[order[i].ID] > size[order[j].ID]
 	})
 
 	// With a traffic matrix, the soft objective becomes the measured
 	// network cost; without one (or without signal) scorer is nil and the
 	// pass scores by ref-node distance exactly as before.
-	scorer := newTrafficScorer(topo, c, current, opts, ids, idx)
+	scorer := newTrafficScorer(topo, c, opts, at)
 
 	next := NewAssignment(topo.Name(), s.Name()+"-incremental")
 	var moves []Move
@@ -383,8 +368,8 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 			next.Place(task.ID, cur)
 			continue
 		}
-		d := demandOf(task)
-		ci := idx[cur.Node]
+		d := demands[task.ID]
+		ci := at[task.ID]
 		// Lift the task off its node, then judge every node — including
 		// its own — from the resulting availability. A restarting task was
 		// never debited (it is dead), so there is nothing to lift.
@@ -395,12 +380,12 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 			scorer.prepare(task)
 		}
 		best, bestTier, bestDist, bestCost := -1, tierInvalid+1, 0.0, 0.0
-		for i := range ids {
+		for i := range avail {
 			tier := tierOf(i, avail[i], d)
 			if tier == tierInvalid {
 				continue
 			}
-			if _, ok := slotFor(ids[i]); !ok {
+			if _, ok := slotFor(i); !ok {
 				continue
 			}
 			dist := resource.Distance(d, avail[i], netdist[i], s.weights)
@@ -437,9 +422,8 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 			if scorer != nil {
 				scorer.place(task.ID, best)
 			}
-			slot, _ := slotFor(ids[best])
-			to := Placement{Node: ids[best], Slot: slot}
-			slotOn[to.Node] = to.Slot
+			slot, _ := slotFor(best)
+			to := Placement{Node: nodes[best].ID, Slot: slot}
 			next.Place(task.ID, to)
 			moves = append(moves, Move{TaskID: task.ID, From: cur, To: to})
 			forced++
@@ -471,9 +455,8 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 			next.Place(task.ID, cur)
 			continue
 		}
-		slot, _ := slotFor(ids[chosen])
-		to := Placement{Node: ids[chosen], Slot: slot}
-		slotOn[to.Node] = to.Slot
+		slot, _ := slotFor(chosen)
+		to := Placement{Node: nodes[chosen].ID, Slot: slot}
 		next.Place(task.ID, to)
 		moves = append(moves, Move{TaskID: task.ID, From: cur, To: to})
 	}

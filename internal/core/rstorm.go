@@ -75,20 +75,19 @@ func (s *ResourceAwareScheduler) Name() string { return "r-storm" }
 // tasks end up interleaved and near each other in the ordering.
 func TaskOrdering(topo *topology.Topology) []topology.Task {
 	order := topo.BFSOrder()
-	remaining := make(map[string][]topology.Task, len(order))
-	for _, comp := range order {
-		remaining[comp] = topo.TasksOf(comp)
+	remaining := make([][]topology.Task, len(order)) // by BFS position
+	for i, comp := range order {
+		remaining[i] = topo.TasksOf(comp)
 	}
 	out := make([]topology.Task, 0, topo.TotalTasks())
 	for len(out) < topo.TotalTasks() {
 		drew := false
-		for _, comp := range order {
-			tasks := remaining[comp]
+		for i, tasks := range remaining {
 			if len(tasks) == 0 {
 				continue
 			}
 			out = append(out, tasks[0])
-			remaining[comp] = tasks[1:]
+			remaining[i] = tasks[1:]
 			drew = true
 		}
 		if !drew {
@@ -98,43 +97,38 @@ func TaskOrdering(topo *topology.Topology) []topology.Task {
 	return out
 }
 
-// slotUnknown / slotNone are sentinels in schedState's per-node slot cache.
-const (
-	slotUnknown = -1
-	slotNone    = -2
-)
-
-// schedState is one Schedule call's dense working set. Node IDs are
-// resolved to integer indices once up front, so the O(tasks × nodes) inner
-// loop of selectNode runs over flat slices with no map operations, no
-// NodeID re-resolution, and no repeated FreeSlots scans:
+// placementView is one placement pass's working set, indexed by cluster
+// node index, so the O(tasks × nodes) inner loop of selectNode runs over
+// flat slices with no map operations and no locking:
 //
-//   - avail mirrors GlobalState availability as a slice indexed by node.
-//   - netdist caches the network distance from the ref node per node
-//     (static once the ref node is fixed — Algorithm 4 picks it once).
-//   - slot lazily caches each node's first free worker slot; the scheduler
-//     packs all of a topology's tasks into one worker per node, so a
-//     node's answer never changes within a Schedule call (GlobalState is
-//     not mutated until the caller applies the assignment atomically).
-type schedState struct {
-	ids     []cluster.NodeID
+//   - avail is the pass's copy of node availability, debited as tasks are
+//     placed (GlobalState itself changes only when the caller applies the
+//     finished assignment atomically).
+//   - slot is each node's worker slot for this topology, -1 when it has
+//     none; the scheduler packs all of a topology's tasks on a node into
+//     one worker.
+//   - netdist is the network distance from the ref node, fixed once the
+//     ref node is chosen (Algorithm 4 picks it once per pass).
+type placementView struct {
 	avail   []resource.Vector
-	netdist []float64
 	slot    []int
-	state   *GlobalState
+	netdist []float64
 }
 
-// hasFreeSlot reports (resolving and caching on first query) whether node
-// i has a worker slot this topology can use.
-func (ss *schedState) hasFreeSlot(i int) bool {
-	if ss.slot[i] == slotUnknown {
-		if free, ok := ss.state.FirstFreeSlot(ss.ids[i]); ok {
-			ss.slot[i] = free
+// refDistances picks the ref node over avail and fills netdist with each
+// node's network distance from it.
+func (s *ResourceAwareScheduler) refDistances(c *cluster.Cluster, avail []resource.Vector, netdist []float64) {
+	ref := s.pickRefNode(c, avail)
+	for i := range netdist {
+		if ref < 0 {
+			// No rack or node qualified (every total at or below -1 after
+			// heavy overcommit): no node is the ref, so every node is the
+			// inter-rack distance away.
+			netdist[i] = c.Network().DistanceInterRack
 		} else {
-			ss.slot[i] = slotNone
+			netdist[i] = c.NetworkDistanceAt(ref, i)
 		}
 	}
-	return ss.slot[i] >= 0
 }
 
 // Schedule implements Scheduler.
@@ -149,80 +143,76 @@ func (s *ResourceAwareScheduler) Schedule(
 	if err := s.classes.Validate(); err != nil {
 		return nil, fmt.Errorf("scheduler classes: %w", err)
 	}
-
-	availMap := state.AvailableAll() // scratch copy; Apply happens later, atomically
-	ids := c.NodeIDs()
-	ss := &schedState{
-		ids:     ids,
-		avail:   make([]resource.Vector, len(ids)),
-		netdist: make([]float64, len(ids)),
-		slot:    make([]int, len(ids)),
-		state:   state,
+	if c != state.Cluster() {
+		return nil, fmt.Errorf("scheduling %q: state tracks a different cluster", topo.Name())
 	}
-	for i, id := range ids {
-		ss.avail[i] = availMap[id]
-		ss.slot[i] = slotUnknown
+	hard := s.classes.Hard()
+	v := &placementView{
+		avail:   make([]resource.Vector, c.Size()),
+		slot:    make([]int, c.Size()),
+		netdist: make([]float64, c.Size()),
 	}
+	state.view(v.avail, v.slot)
+	s.refDistances(c, v.avail, v.netdist)
 
-	assignment := NewAssignment(topo.Name(), s.Name())
-	haveRef := false
-
-	for _, task := range s.ordering(topo) {
+	// Most calls in a full cluster fail part-way, so the pass records node
+	// indexes and builds the assignment only once every task has a node.
+	order := s.ordering(topo)
+	picks := make([]int, len(order))
+	for k, task := range order {
 		demand := topo.TaskDemand(task)
-		if !haveRef {
-			// The ref node is chosen once, before any availability is
-			// consumed, so availMap still matches ss.avail here.
-			refNode := s.pickRefNode(c, availMap)
-			for i, id := range ids {
-				ss.netdist[i] = c.NetworkDistance(refNode, id)
-			}
-			haveRef = true
-		}
-		ni, ok := s.selectNode(ss, demand)
+		ni, ok := s.selectNode(v, hard, demand)
 		if !ok {
 			return nil, fmt.Errorf(
 				"task %s (demand %v): %w", task, demand, ErrInsufficientResources)
 		}
-		assignment.Place(task.ID, Placement{Node: ids[ni], Slot: ss.slot[ni]})
-		ss.avail[ni] = ss.avail[ni].Sub(demand)
+		picks[k] = ni
+		v.avail[ni] = v.avail[ni].Sub(demand)
+	}
+	assignment := &Assignment{
+		Topology:   topo.Name(),
+		Scheduler:  s.Name(),
+		Placements: make(map[int]Placement, len(order)),
+	}
+	for k, task := range order {
+		ni := picks[k]
+		assignment.Place(task.ID, Placement{Node: c.NodeAt(ni).ID, Slot: v.slot[ni]})
 	}
 	return assignment, nil
 }
 
-// pickRefNode implements Algorithm 4 lines 6–9: the node with the most
-// available resources inside the rack with the most available resources.
-// Resource totals are compared after weight normalization so axes are
-// commensurable; each node's weighted total is computed once up front
-// rather than re-weighting in the rack-sum and best-node passes.
-func (s *ResourceAwareScheduler) pickRefNode(
-	c *cluster.Cluster,
-	avail map[cluster.NodeID]resource.Vector,
-) cluster.NodeID {
-	totals := make(map[cluster.NodeID]float64, len(avail))
-	for id, a := range avail {
-		totals[id] = s.weights.Apply(a).Total()
+// pickRefNode implements Algorithm 4 lines 6–9: the index of the node with
+// the most available resources inside the rack with the most available
+// resources, or -1 when no rack or node total exceeds -1. Resource totals
+// are compared after weight normalization so axes are commensurable. Racks
+// are compared in Racks order and nodes in declaration order, and each
+// rack's total sums its nodes in declaration order, so ties and float
+// rounding resolve the same way on every run.
+func (s *ResourceAwareScheduler) pickRefNode(c *cluster.Cluster, avail []resource.Vector) int {
+	rackSum := make([]float64, c.RackCount())
+	for i, a := range avail {
+		rackSum[c.RackIndex(i)] += s.weights.Apply(a).Total()
 	}
-	var bestRack cluster.RackID
+	bestRack := -1
 	bestRackTotal := -1.0
-	for _, rack := range c.Racks() {
-		var sum float64
-		for _, id := range c.NodesInRack(rack) {
-			sum += totals[id]
-		}
+	for r, sum := range rackSum {
 		if sum > bestRackTotal {
 			bestRackTotal = sum
-			bestRack = rack
+			bestRack = r
 		}
 	}
-	var bestNode cluster.NodeID
-	bestNodeTotal := -1.0
-	for _, id := range c.NodesInRack(bestRack) {
-		if total := totals[id]; total > bestNodeTotal {
-			bestNodeTotal = total
-			bestNode = id
+	best := -1
+	bestTotal := -1.0
+	for i, a := range avail {
+		if c.RackIndex(i) != bestRack {
+			continue
+		}
+		if total := s.weights.Apply(a).Total(); total > bestTotal {
+			bestTotal = total
+			best = i
 		}
 	}
-	return bestNode
+	return best
 }
 
 // selectNode implements Algorithm 4 line 10: the eligible node minimizing
@@ -230,20 +220,18 @@ func (s *ResourceAwareScheduler) pickRefNode(
 // availability, with the network distance from the ref node on the
 // bandwidth axis. Ties break toward cluster declaration order for
 // determinism.
+//
+//rstorm:hotpath
 func (s *ResourceAwareScheduler) selectNode(
-	ss *schedState, demand resource.Vector,
+	v *placementView, hard resource.HardSet, demand resource.Vector,
 ) (int, bool) {
 	best := -1
 	bestDist := -1.0
-	for i := range ss.avail {
-		a := ss.avail[i]
-		if !resource.SatisfiesHard(a, demand, s.classes) {
+	for i, a := range v.avail {
+		if !hard.Satisfies(a, demand) || v.slot[i] < 0 {
 			continue
 		}
-		if !ss.hasFreeSlot(i) {
-			continue
-		}
-		d := resource.Distance(demand, a, ss.netdist[i], s.weights)
+		d := resource.Distance(demand, a, v.netdist[i], s.weights)
 		if bestDist < 0 || d < bestDist {
 			bestDist = d
 			best = i

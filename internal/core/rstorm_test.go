@@ -225,6 +225,28 @@ func TestRStormDeterministic(t *testing.T) {
 	}
 }
 
+// TestScheduleAllocsIndependentOfClusterSize pins Schedule's allocation
+// profile: one call on a fixed topology allocates as many times on 12
+// nodes as on 256, so nothing is allocated per node.
+func TestScheduleAllocsIndependentOfClusterSize(t *testing.T) {
+	topo := linearTopo(t, 2, 25, 256)
+	large, err := cluster.TwoRack(8, 32, cluster.EmulabNodeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(c *cluster.Cluster) float64 {
+		s, state := NewResourceAwareScheduler(), NewGlobalState(c)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := s.Schedule(topo, c, state); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(emulab12(t)), allocs(large); small != large {
+		t.Errorf("Schedule allocates %v times on Emulab12 but %v on TwoRack(8,32)", small, large)
+	}
+}
+
 func TestRStormSingleWorkerPerNode(t *testing.T) {
 	topo := linearTopo(t, 6, 25, 256)
 	c := emulab12(t)
@@ -276,9 +298,13 @@ func TestRStormRefNodePicksFullestRack(t *testing.T) {
 		t.Fatalf("cluster: %v", err)
 	}
 	s := NewResourceAwareScheduler()
-	ref := s.pickRefNode(c, NewGlobalState(c).AvailableAll())
-	if got := c.Node(ref).Rack; got != "rack-b" {
-		t.Errorf("ref node %s on rack %s, want rack-b", ref, got)
+	avail := make([]resource.Vector, c.Size())
+	for i, n := range c.Nodes() {
+		avail[i] = n.Spec.Capacity
+	}
+	ref := c.NodeAt(s.pickRefNode(c, avail))
+	if ref.Rack != "rack-b" {
+		t.Errorf("ref node %s on rack %s, want rack-b", ref.ID, ref.Rack)
 	}
 }
 
@@ -314,6 +340,9 @@ func TestRStormRejectsInvalidOptions(t *testing.T) {
 		WithClasses(resource.Classes{}),
 	).Schedule(topo, c, NewGlobalState(c)); err == nil {
 		t.Error("empty classes accepted")
+	}
+	if _, err := NewResourceAwareScheduler().Schedule(topo, c, NewGlobalState(emulab12(t))); err == nil {
+		t.Error("state of another cluster accepted")
 	}
 }
 

@@ -402,10 +402,6 @@ func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
 		n.journalRecord(trace.CodeFailoverRound, name, string(id),
 			fmt.Sprintf("tick=%d moves=%d", d.ticks, len(moves)))
 	}
-	// Remove re-credits each topology's reservation to availability —
-	// including the share that sat on the dead node. Release again so the
-	// node reads zero to future scheduling rounds until it recovers.
-	n.state.ReleaseNode(id)
 }
 
 // errUnplaceableRestart marks a failover plan that left a restart on the

@@ -181,12 +181,19 @@ func TestFailureTriggersReschedule(t *testing.T) {
 	if len(lost) != 1 || lost[0] != victim {
 		t.Fatalf("lost = %v, want [%s]", lost, victim)
 	}
+	// The teardown must not credit the dead node's share back to it.
+	if avail := n.State().Available(victim); !avail.IsZero() {
+		t.Errorf("dead node availability after failure = %v, want zero", avail)
+	}
 	// Topology requeued and rescheduled off the dead node.
 	if got := n.Pending(); len(got) != 1 || got[0] != "resilient" {
 		t.Fatalf("Pending after failure = %v", got)
 	}
 	if got := n.RunSchedulingRound(); len(got) != 1 {
 		t.Fatalf("reschedule round = %v", got)
+	}
+	if avail := n.State().Available(victim); !avail.IsZero() {
+		t.Errorf("dead node availability after reschedule = %v, want zero", avail)
 	}
 	after := n.Assignment("resilient")
 	for id, p := range after.Placements {

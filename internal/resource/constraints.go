@@ -128,18 +128,28 @@ func (c Classes) Validate() error {
 	return nil
 }
 
-// SatisfiesHard reports whether availability covers demand on every hard
+// HardSet is a Classes resolved to which axes are hard, so scheduler inner
+// loops (every candidate node, every task) check feasibility without a
+// map lookup per axis. Resolve it once per call with Classes.Hard.
+type HardSet struct{ cpu, memory, bandwidth bool }
+
+// Hard resolves the hard axes of c.
+func (c Classes) Hard() HardSet {
+	return HardSet{cpu: c[AxisCPU] == Hard, memory: c[AxisMemory] == Hard, bandwidth: c[AxisBandwidth] == Hard}
+}
+
+// Satisfies reports whether availability covers demand on every hard
 // axis. This is the H_θ > H_τ check of Algorithm 4: a node is eligible only
-// if no hard constraint would be violated. It runs in scheduler inner loops
-// (every candidate node, every task), so it filters axes in place rather
-// than materializing a HardAxes slice per call.
+// if no hard constraint would be violated.
+func (h HardSet) Satisfies(avail, demand Vector) bool {
+	return !(h.cpu && avail.CPU < demand.CPU) &&
+		!(h.memory && avail.MemoryMB < demand.MemoryMB) &&
+		!(h.bandwidth && avail.Bandwidth < demand.Bandwidth)
+}
+
+// SatisfiesHard is classes.Hard().Satisfies(avail, demand).
 func SatisfiesHard(avail, demand Vector, classes Classes) bool {
-	for _, a := range Axes() {
-		if classes[a] == Hard && Component(avail, a) < Component(demand, a) {
-			return false
-		}
-	}
-	return true
+	return classes.Hard().Satisfies(avail, demand)
 }
 
 // ViolatedSoft returns the soft axes on which demand exceeds availability,

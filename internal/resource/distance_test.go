@@ -165,3 +165,29 @@ func TestClassAndAxisStrings(t *testing.T) {
 		t.Error("axis strings wrong")
 	}
 }
+
+// TestQuickHardSetMatchesClasses checks the resolved HardSet against the
+// per-axis definition for every hard/soft split of the axes.
+func TestQuickHardSetMatchesClasses(t *testing.T) {
+	f := func(mask uint8, a, d [3]float64) bool {
+		classes := Classes{}
+		for i, axis := range Axes() {
+			classes[axis] = Soft
+			if mask&(1<<i) != 0 {
+				classes[axis] = Hard
+			}
+		}
+		avail := Vector{CPU: a[0], MemoryMB: a[1], Bandwidth: a[2]}
+		demand := Vector{CPU: d[0], MemoryMB: d[1], Bandwidth: d[2]}
+		want := true
+		for _, axis := range classes.HardAxes() {
+			if Component(avail, axis) < Component(demand, axis) {
+				want = false
+			}
+		}
+		return classes.Hard().Satisfies(avail, demand) == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

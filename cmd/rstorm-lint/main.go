@@ -1,7 +1,9 @@
 // Command rstorm-lint checks the repository's invariants-as-lint suite
 // (DESIGN.md §9): determinism of scheduling/control-plane packages,
 // zero-alloc //rstorm:hotpath functions, journal reason-code
-// exhaustiveness, and StatisticServer route discipline.
+// exhaustiveness, StatisticServer route discipline, no package-level
+// state in orchestrated runs, and no internal package that nothing
+// imports.
 //
 // Standalone (whole-program checks included):
 //

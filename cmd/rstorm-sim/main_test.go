@@ -127,6 +127,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		!strings.Contains(err.Error(), "failure spec") {
 		t.Errorf("bad failure spec err = %v", err)
 	}
+	// A NaN or infinite factor would make the "slowed" node run at no cost.
+	for _, factor := range []string{"NaN", "Inf", "+Inf"} {
+		spec := "slow:node-0-0@1s:" + factor
+		if err := run(&out, []string{"-fail", spec, "-duration", "2s", "-window", "1s"}); err == nil ||
+			!strings.Contains(err.Error(), "finite factor") {
+			t.Errorf("-fail %s err = %v, want a finite-factor error", spec, err)
+		}
+	}
 }
 
 // TestRunPrintsMeasuredTable: every run (adaptive or not) must report the
@@ -420,14 +428,15 @@ func TestRunMatrixMode(t *testing.T) {
 }
 
 // TestRunMatrixRejectsBadSpecs: the matrix flag surface fails cleanly on
-// grammar errors, unknown experiments, flag composition, and stray
-// -workers.
+// grammar errors, oversized matrices, unknown experiments, flag
+// composition, and stray -workers.
 func TestRunMatrixRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-matrix", "fig9b × seeds="}, "matrix spec"},
+		{[]string{"-matrix", "fig8a × seeds=1..9223372036854775807"}, "more than 65536 values"},
 		{[]string{"-matrix", "fig99 × seeds=1"}, `unknown experiment "fig99"`},
 		{[]string{"-matrix", "fig9b", "-adaptive"}, "composes with no other mode flag"},
 		{[]string{"-matrix", "fig9b", "-chaos"}, "composes with no other mode flag"},

@@ -322,29 +322,18 @@ func (c *Controller) ShouldRebalance(name string) (string, bool) {
 	return "", false
 }
 
-// Plan computes the incremental rebalance for a topology from the
+// PlanWithCap computes the incremental rebalance for a topology from the
 // profiler's measured demands. available is the per-node availability
 // *excluding* this topology's own usage (dead nodes zeroed, co-resident
 // topologies' load subtracted — see Loop.availabilityFor); nil means the
 // topology has the whole cluster to itself. trigger is the
 // ShouldRebalance verdict being acted on: an imbalance trigger under
-// TrafficObjective plans against the measured traffic matrix. Plan does
-// not mutate controller state; call NotifyRebalanced once the plan has
-// been applied (or discarded) so the cooldown starts.
-func (c *Controller) Plan(
-	topo *topology.Topology,
-	clu *cluster.Cluster,
-	current *core.Assignment,
-	available map[cluster.NodeID]resource.Vector,
-	trigger string,
-) (*core.Assignment, []core.Move, error) {
-	return c.PlanWithCap(topo, clu, current, available, trigger, 0)
-}
-
-// PlanWithCap is Plan under an additional migration cap — the cluster
-// arbiter's per-topology share of the global move budget. A positive cap
-// bounds this plan's moves on top of (never loosening) the configured
-// MaxMoves; zero applies MaxMoves alone, making it exactly Plan.
+// TrafficObjective plans against the measured traffic matrix. moveCap is
+// the cluster arbiter's per-topology share of the global move budget: a
+// positive cap bounds this plan's moves on top of (never loosening) the
+// configured MaxMoves; zero applies MaxMoves alone. PlanWithCap does not
+// mutate controller state; call NotifyRebalanced once the plan has been
+// applied (or discarded) so the cooldown starts.
 func (c *Controller) PlanWithCap(
 	topo *topology.Topology,
 	clu *cluster.Cluster,

@@ -11,7 +11,6 @@
 package adaptive
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -584,22 +583,6 @@ func (p *Profiler) Stats(topo string) []ComponentStats {
 			out = append(out, *p.stats[k])
 		}
 	}
-	return out
-}
-
-// Topologies returns the topology names seen so far, sorted.
-func (p *Profiler) Topologies() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []string
-	for _, k := range p.order {
-		if !seen[k.topo] {
-			seen[k.topo] = true
-			out = append(out, k.topo)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -1,7 +1,8 @@
 // Package analysis is rstorm-lint: a suite of static analyzers that turn
 // the repository's headline invariants — seeded determinism, zero-alloc
 // hot paths, journal-code exhaustiveness, uniform StatisticServer route
-// discipline — into compile-time checked facts (DESIGN.md §9).
+// discipline, run-owned state, no orphan internal packages — into
+// compile-time checked facts (DESIGN.md §9).
 //
 // The golden-diff harness and the allocation benchmarks enforce these
 // invariants dynamically, but only over the paths a run happens to
@@ -266,9 +267,9 @@ var analyzerCategories = map[string][]string{
 	"globalvar":   {"global-ok"},
 }
 
-// Suite returns fresh instances of all five analyzers. Instances carry
-// per-run state (the journal analyzer accumulates cross-package usage),
-// so each invocation needs its own.
+// Suite returns fresh instances of all six analyzers. Instances carry
+// per-run state (the journal and orphan analyzers accumulate
+// cross-package usage), so each invocation needs its own.
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		NewDeterminism(),
@@ -276,5 +277,6 @@ func Suite() []*Analyzer {
 		NewJournal(),
 		NewStatserver(),
 		NewGlobalvar(),
+		NewOrphan(),
 	}
 }

@@ -34,7 +34,7 @@ func NewGlobalvar() *Analyzer {
 		"rstorm/internal/des,rstorm/internal/cluster,rstorm/internal/topology," +
 		"rstorm/internal/workloads,rstorm/internal/metrics,rstorm/internal/trace," +
 		"rstorm/internal/faults,rstorm/internal/viz,rstorm/internal/resource," +
-		"rstorm/internal/knapsack,rstorm/internal/statestore,rstorm/internal/pardes"
+		"rstorm/internal/statestore,rstorm/internal/pardes"
 	a := &Analyzer{
 		Name:  "globalvar",
 		Doc:   "flag package-level mutable state reachable from orchestrated runs",

@@ -19,9 +19,10 @@ import (
 // to stderr and a non-zero exit marks the unit failed, which is exactly
 // how cmd/go surfaces vet findings.
 //
-// The journal analyzer's whole-program unused-code check needs to see
-// every package of a run and therefore only executes in standalone mode
-// (RunPatterns); a vettool unit checks everything else.
+// The whole-program checks (the journal analyzer's unused-code check and
+// the orphan-package analyzer) need to see every package of a run and
+// therefore only execute in standalone mode (RunPatterns); a vettool unit
+// checks everything else.
 
 // vetConfig mirrors cmd/go's vetConfig (work/exec.go). Fields the unit
 // checker does not consume are accepted and ignored by encoding/json.

@@ -3,21 +3,24 @@
 // equal timestamps fire in scheduling order, so a simulation driven by a
 // seeded RNG is fully reproducible.
 //
-// The queue is a hand-rolled 4-ary min-heap of event values stored inline
-// in a single slice — no per-event boxing, no interface round-trips through
-// container/heap, and no pointer chasing during sift operations. Popped
-// slots are recycled in place (the slice keeps its capacity), so once the
-// heap has grown to the simulation's peak event population, scheduling is
-// allocation-free: the backing array is the free list.
+// There is one event representation: a value implementing Event, queued
+// by ScheduleEvent or ScheduleEventAt. The queue is a hand-rolled 4-ary
+// min-heap of event values stored inline in a single slice — no per-event
+// boxing, no interface round-trips through container/heap, and no pointer
+// chasing during sift operations. Popped slots are recycled in place (the
+// slice keeps its capacity), so once the heap has grown to the
+// simulation's peak event population, scheduling is allocation-free: the
+// backing array is the free list.
 package des
 
 import (
 	"time"
 )
 
-// Event is a typed simulation event. Hot paths schedule pooled Event
-// records via ScheduleEvent instead of closures, keeping steady-state
-// event dispatch allocation-free; Fire runs when the event's time comes.
+// Event is a simulation event; Fire runs when its time comes. The Engine
+// stores only the interface value, so a caller that pools its event
+// records (as the simulator does for every tuple hop) keeps steady-state
+// dispatch allocation-free.
 type Event interface {
 	Fire()
 }
@@ -42,26 +45,7 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.queue.events) }
 
-// Schedule queues fn to run after delay. Negative delays are clamped to
-// zero (the event fires "now", after already-queued events at this time).
-func (e *Engine) Schedule(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.ScheduleAt(e.now+delay, fn)
-}
-
-// ScheduleAt queues fn at an absolute virtual time. Times in the past are
-// clamped to the current time.
-func (e *Engine) ScheduleAt(at time.Duration, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
-}
-
-// ScheduleEvent queues a typed event after delay. Negative delays are
+// ScheduleEvent queues an event after delay. Negative delays are
 // clamped to zero. The Engine holds only the interface value; callers own
 // the event's storage and may pool it once Fire has run.
 //
@@ -73,7 +57,7 @@ func (e *Engine) ScheduleEvent(delay time.Duration, ev Event) {
 	e.ScheduleEventAt(e.now+delay, ev)
 }
 
-// ScheduleEventAt queues a typed event at an absolute virtual time. Times
+// ScheduleEventAt queues an event at an absolute virtual time. Times
 // in the past are clamped to the current time.
 //
 //rstorm:hotpath
@@ -95,11 +79,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.queue.pop()
 	e.now = ev.at
-	if ev.ev != nil {
-		ev.ev.Fire()
-	} else {
-		ev.fn()
-	}
+	ev.ev.Fire()
 	return true
 }
 
@@ -114,16 +94,6 @@ func (e *Engine) RunUntil(until time.Duration) int {
 	}
 	if e.now < until {
 		e.now = until
-	}
-	return processed
-}
-
-// Drain processes every pending event regardless of time, returning the
-// count. Useful in tests; simulations normally use RunUntil.
-func (e *Engine) Drain() int {
-	processed := 0
-	for e.Step() {
-		processed++
 	}
 	return processed
 }
@@ -161,12 +131,10 @@ func (e *Engine) AdvanceTo(horizon time.Duration) int {
 	return processed
 }
 
-// PendingEvent is one queued event surrendered by TakePending. Exactly one
-// of Ev and Fn is set, mirroring the two scheduling paths.
+// PendingEvent is one queued event surrendered by TakePending.
 type PendingEvent struct {
 	At time.Duration
 	Ev Event
-	Fn func()
 }
 
 // TakePending removes and returns every queued event in (time, scheduling)
@@ -178,21 +146,21 @@ func (e *Engine) TakePending() []PendingEvent {
 	out := make([]PendingEvent, 0, len(e.queue.events))
 	for len(e.queue.events) > 0 {
 		ev := e.queue.pop()
-		out = append(out, PendingEvent{At: ev.at, Ev: ev.ev, Fn: ev.fn})
+		out = append(out, PendingEvent{At: ev.at, Ev: ev.ev})
 	}
 	return out
 }
 
-// event is one scheduled callback or typed event, stored by value.
+// event is one queued Event and its heap key, stored by value: 32 bytes
+// on 64-bit platforms.
 type event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
 	ev  Event
 }
 
 // before reports strict heap order. seq strictly increases across
-// Schedule* calls, so (at, seq) is a total order and equal-timestamp
+// ScheduleEvent* calls, so (at, seq) is a total order and equal-timestamp
 // events pop in exact FIFO scheduling order regardless of heap shape.
 //
 //rstorm:hotpath
@@ -204,8 +172,9 @@ func (a *event) before(b *event) bool {
 }
 
 // eventQueue is a 4-ary min-heap of event values ordered by (at, seq).
-// 4-ary beats binary here: sift-down depth halves, and the four children
-// sit in two adjacent cache lines.
+// 4-ary beats binary here: sift-down depth halves. The four children of a
+// node span 128 B, but they start one 32 B slot into a 64 B-aligned block,
+// so comparing them touches three cache lines, not two.
 type eventQueue struct {
 	events []event
 }
@@ -222,7 +191,7 @@ func (q *eventQueue) pop() event {
 	top := es[0]
 	n := len(es) - 1
 	es[0] = es[n]
-	es[n] = event{} // release fn/ev references; capacity is retained
+	es[n] = event{} // release the Event reference; capacity is retained
 	q.events = es[:n]
 	if n > 1 {
 		q.siftDown(0)

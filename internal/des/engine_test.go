@@ -5,14 +5,38 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// eventFunc adapts a func to Event for tests.
+type eventFunc func()
+
+func (f eventFunc) Fire() { f() }
+
+// recordingEvent is a pointer-backed Event that logs its id when fired.
+type recordingEvent struct {
+	id  int
+	out *[]int
+}
+
+func (e *recordingEvent) Fire() { *e.out = append(*e.out, e.id) }
+
+// drain steps the engine until its queue is empty, returning the number
+// of events processed.
+func drain(e *Engine) int {
+	processed := 0
+	for e.Step() {
+		processed++
+	}
+	return processed
+}
 
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(3*time.Second, func() { order = append(order, 3) })
-	e.Schedule(1*time.Second, func() { order = append(order, 1) })
-	e.Schedule(2*time.Second, func() { order = append(order, 2) })
+	e.ScheduleEvent(3*time.Second, eventFunc(func() { order = append(order, 3) }))
+	e.ScheduleEvent(1*time.Second, eventFunc(func() { order = append(order, 1) }))
+	e.ScheduleEvent(2*time.Second, eventFunc(func() { order = append(order, 2) }))
 	if n := e.RunUntil(10 * time.Second); n != 3 {
 		t.Fatalf("processed %d events, want 3", n)
 	}
@@ -31,9 +55,9 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		e.Schedule(time.Second, func() { order = append(order, i) })
+		e.ScheduleEvent(time.Second, eventFunc(func() { order = append(order, i) }))
 	}
-	e.Drain()
+	drain(e)
 	for i := 0; i < 5; i++ {
 		if order[i] != i {
 			t.Fatalf("same-time events not FIFO: %v", order)
@@ -44,12 +68,12 @@ func TestSameTimeEventsFIFO(t *testing.T) {
 func TestEventsScheduledDuringRun(t *testing.T) {
 	e := NewEngine()
 	var fired []time.Duration
-	e.Schedule(time.Second, func() {
+	e.ScheduleEvent(time.Second, eventFunc(func() {
 		fired = append(fired, e.Now())
-		e.Schedule(time.Second, func() {
+		e.ScheduleEvent(time.Second, eventFunc(func() {
 			fired = append(fired, e.Now())
-		})
-	})
+		}))
+	}))
 	e.RunUntil(5 * time.Second)
 	if len(fired) != 2 || fired[0] != time.Second || fired[1] != 2*time.Second {
 		t.Fatalf("fired = %v", fired)
@@ -59,7 +83,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestRunUntilHorizonExcludesLaterEvents(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Schedule(10*time.Second, func() { ran = true })
+	e.ScheduleEvent(10*time.Second, eventFunc(func() { ran = true }))
 	e.RunUntil(5 * time.Second)
 	if ran {
 		t.Fatal("event past horizon ran")
@@ -78,26 +102,26 @@ func TestRunUntilHorizonExcludesLaterEvents(t *testing.T) {
 
 func TestNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(time.Second, func() {
-		e.Schedule(-time.Hour, func() {
+	e.ScheduleEvent(time.Second, eventFunc(func() {
+		e.ScheduleEvent(-time.Hour, eventFunc(func() {
 			if e.Now() != time.Second {
 				t.Errorf("clamped event at %v, want 1s", e.Now())
 			}
-		})
-	})
-	e.Drain()
+		}))
+	}))
+	drain(e)
 }
 
 func TestScheduleAtPastClamped(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(2*time.Second, func() {
-		e.ScheduleAt(time.Second, func() {
+	e.ScheduleEvent(2*time.Second, eventFunc(func() {
+		e.ScheduleEventAt(time.Second, eventFunc(func() {
 			if e.Now() != 2*time.Second {
 				t.Errorf("past event at %v, want 2s", e.Now())
 			}
-		})
-	})
-	e.Drain()
+		}))
+	}))
+	drain(e)
 }
 
 func TestStepOnEmpty(t *testing.T) {
@@ -105,26 +129,30 @@ func TestStepOnEmpty(t *testing.T) {
 	if e.Step() {
 		t.Fatal("Step on empty queue returned true")
 	}
-	if e.Drain() != 0 {
-		t.Fatal("Drain on empty queue processed events")
+	if e.Now() != 0 {
+		t.Fatalf("Step on empty queue moved the clock to %v", e.Now())
 	}
 }
 
-// recordingEvent implements Event for typed-event tests.
-type recordingEvent struct {
-	id  int
-	out *[]int
+// TestEventSlotSize pins the heap slot at 32 bytes on 64-bit platforms:
+// every push and sift moves whole slots, so a field added to event is paid
+// for on every tuple hop.
+func TestEventSlotSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("slot size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 32", got)
+	}
 }
-
-func (e *recordingEvent) Fire() { *e.out = append(*e.out, e.id) }
 
 func TestTypedEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	e.ScheduleEvent(3*time.Second, &recordingEvent{id: 3, out: &order})
 	e.ScheduleEvent(1*time.Second, &recordingEvent{id: 1, out: &order})
-	e.Schedule(2*time.Second, func() { order = append(order, 2) })
-	e.Drain()
+	e.ScheduleEvent(2*time.Second, eventFunc(func() { order = append(order, 2) }))
+	drain(e)
 	for i, v := range []int{1, 2, 3} {
 		if order[i] != v {
 			t.Fatalf("order = %v", order)
@@ -132,6 +160,9 @@ func TestTypedEventsFireInTimeOrder(t *testing.T) {
 	}
 }
 
+// TestTypedEventsInterleaveFIFOWithClosures: the queue orders events by
+// (time, scheduling order) alone, whatever concrete type implements Event
+// — pointer records and closure adapters interleave in exact FIFO order.
 func TestTypedEventsInterleaveFIFOWithClosures(t *testing.T) {
 	e := NewEngine()
 	var order []int
@@ -140,19 +171,19 @@ func TestTypedEventsInterleaveFIFOWithClosures(t *testing.T) {
 			e.ScheduleEvent(time.Second, &recordingEvent{id: i, out: &order})
 		} else {
 			i := i
-			e.Schedule(time.Second, func() { order = append(order, i) })
+			e.ScheduleEvent(time.Second, eventFunc(func() { order = append(order, i) }))
 		}
 	}
-	e.Drain()
+	drain(e)
 	for i := 0; i < 6; i++ {
 		if order[i] != i {
-			t.Fatalf("equal-timestamp typed/closure events not FIFO: %v", order)
+			t.Fatalf("equal-timestamp record/closure events not FIFO: %v", order)
 		}
 	}
 }
 
 // TestHeapFIFOUnderRandomInterleaving is the property test for the 4-ary
-// heap: under randomized interleaved Schedule/Step sequences with heavily
+// heap: under randomized interleaved schedule/Step sequences with heavily
 // colliding timestamps, events sharing a timestamp must fire in exact
 // scheduling order, and timestamps must be globally non-decreasing.
 func TestHeapFIFOUnderRandomInterleaving(t *testing.T) {
@@ -167,14 +198,15 @@ func TestHeapFIFOUnderRandomInterleaving(t *testing.T) {
 		seq := 0
 		schedule := func() {
 			// Few distinct timestamps ahead of now -> many collisions.
-			at := e.Now() + time.Duration(rng.Intn(4))*time.Millisecond
+			delay := time.Duration(rng.Intn(4)) * time.Millisecond
+			at := e.Now() + delay
 			id := seq
 			seq++
+			ev := eventFunc(func() { log = append(log, fired{at: at, seq: id}) })
 			if rng.Intn(2) == 0 {
-				e.ScheduleAt(at, func() { log = append(log, fired{at: at, seq: id}) })
+				e.ScheduleEventAt(at, ev)
 			} else {
-				at := at
-				e.ScheduleEventAt(at, eventFunc(func() { log = append(log, fired{at: at, seq: id}) }))
+				e.ScheduleEvent(delay, ev)
 			}
 		}
 		for op := 0; op < 400; op++ {
@@ -184,7 +216,7 @@ func TestHeapFIFOUnderRandomInterleaving(t *testing.T) {
 				schedule()
 			}
 		}
-		e.Drain()
+		drain(e)
 		if len(log) != seq {
 			t.Fatalf("trial %d: fired %d of %d events", trial, len(log), seq)
 		}
@@ -201,18 +233,13 @@ func TestHeapFIFOUnderRandomInterleaving(t *testing.T) {
 	}
 }
 
-// eventFunc adapts a func to Event for tests.
-type eventFunc func()
-
-func (f eventFunc) Fire() { f() }
-
 func TestPeekTime(t *testing.T) {
 	e := NewEngine()
 	if _, ok := e.PeekTime(); ok {
 		t.Fatal("PeekTime on empty queue reported an event")
 	}
-	e.Schedule(3*time.Second, func() {})
-	e.Schedule(time.Second, func() {})
+	e.ScheduleEvent(3*time.Second, eventFunc(func() {}))
+	e.ScheduleEvent(time.Second, eventFunc(func() {}))
 	if at, ok := e.PeekTime(); !ok || at != time.Second {
 		t.Fatalf("PeekTime = %v, %v, want 1s, true", at, ok)
 	}
@@ -220,7 +247,7 @@ func TestPeekTime(t *testing.T) {
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d after peek, want 2", e.Pending())
 	}
-	e.Drain()
+	drain(e)
 	if _, ok := e.PeekTime(); ok {
 		t.Fatal("PeekTime after drain reported an event")
 	}
@@ -231,7 +258,7 @@ func TestAdvanceToExcludesHorizonEvents(t *testing.T) {
 	var fired []time.Duration
 	for _, at := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second} {
 		at := at
-		e.ScheduleAt(at, func() { fired = append(fired, at) })
+		e.ScheduleEventAt(at, eventFunc(func() { fired = append(fired, at) }))
 	}
 	if n := e.AdvanceTo(2 * time.Second); n != 1 {
 		t.Fatalf("processed %d events, want 1 (event at the horizon must stay pending)", n)
@@ -270,7 +297,7 @@ func TestQuickAdvanceToWindowsMatchRunUntil(t *testing.T) {
 				// Few distinct timestamps -> many FIFO collisions.
 				at := time.Duration(r%16) * 10 * time.Millisecond
 				i := i
-				e.ScheduleAt(at, func() { order = append(order, i) })
+				e.ScheduleEventAt(at, eventFunc(func() { order = append(order, i) }))
 			}
 			return e, &order
 		}
@@ -313,7 +340,7 @@ func TestTakePendingPreservesOrder(t *testing.T) {
 		i := i
 		at := time.Duration(i%4) * time.Second // heavy timestamp collisions
 		if i%2 == 0 {
-			e.ScheduleAt(at, func() { order = append(order, i) })
+			e.ScheduleEventAt(at, &recordingEvent{id: i, out: &order})
 		} else {
 			e.ScheduleEventAt(at, eventFunc(func() { order = append(order, i) }))
 		}
@@ -332,13 +359,9 @@ func TestTakePendingPreservesOrder(t *testing.T) {
 	}
 	fresh := NewEngine()
 	for _, pe := range taken {
-		if pe.Ev != nil {
-			fresh.ScheduleEventAt(pe.At, pe.Ev)
-		} else {
-			fresh.ScheduleAt(pe.At, pe.Fn)
-		}
+		fresh.ScheduleEventAt(pe.At, pe.Ev)
 	}
-	fresh.Drain()
+	drain(fresh)
 	want := []int{0, 4, 8, 12, 16, 1, 5, 9, 13, 17, 2, 6, 10, 14, 18, 3, 7, 11, 15, 19}
 	for i := range want {
 		if order[i] != want[i] {
@@ -354,14 +377,14 @@ func TestQuickClockNeverGoesBackwards(t *testing.T) {
 		ok := true
 		for _, d := range delays {
 			delay := time.Duration(d) * time.Millisecond
-			e.Schedule(delay, func() {
+			e.ScheduleEvent(delay, eventFunc(func() {
 				if e.Now() < last {
 					ok = false
 				}
 				last = e.Now()
-			})
+			}))
 		}
-		e.Drain()
+		drain(e)
 		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -378,7 +401,7 @@ func TestQuickRunUntilProcessesExactlyHorizonEvents(t *testing.T) {
 			if d <= 100*time.Millisecond {
 				within++
 			}
-			e.Schedule(d, func() {})
+			e.ScheduleEvent(d, eventFunc(func() {}))
 		}
 		return e.RunUntil(100*time.Millisecond) == within
 	}

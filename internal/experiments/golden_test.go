@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -30,7 +31,18 @@ func goldenOpts() Options {
 // Shards >= 1 is pure parallelism, never a result knob (DESIGN.md §11).
 // It subsumes the per-experiment ad-hoc determinism checks; a new
 // experiment is covered the moment it is registered in All().
+//
+// The legacy run also pins the paper's headline claims: the first row of
+// each throughput figure must show an R-Storm gain within ±10 points of
+// the paper's, so a change that moves a result fails here even when it
+// moves it deterministically.
 func TestGoldenDiffAllExperiments(t *testing.T) {
+	// paperGainPct is the throughput gain each headline figure's
+	// PaperClaim states.
+	paperGainPct := map[string]float64{
+		"fig8a": 50, "fig8b": 30, "fig8c": 47, "fig12a": 50, "fig12b": 47,
+	}
+	const bandPct = 10.0
 	compare := func(t *testing.T, label string, want, got *Report) {
 		t.Helper()
 		// Structural equality first (catches NaN-free numeric drift in
@@ -57,6 +69,15 @@ func TestGoldenDiffAllExperiments(t *testing.T) {
 				t.Fatalf("second run: %v", err)
 			}
 			compare(t, "legacy run-to-run", first, second)
+			if claim, ok := paperGainPct[e.ID]; ok {
+				if len(first.Rows) == 0 {
+					t.Fatalf("report has no rows to check against the paper's %+.0f%%", claim)
+				}
+				if got := first.Rows[0].ImprovementPct; !(math.Abs(got-claim) <= bandPct) {
+					t.Errorf("%s: R-Storm gain %+.1f%%, want the paper's %+.0f%% ± %.0f points",
+						first.Rows[0].Label, got, claim, bandPct)
+				}
+			}
 
 			shardedOpts := goldenOpts()
 			shardedOpts.Shards = 1

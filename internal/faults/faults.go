@@ -11,11 +11,12 @@
 //	slow:node-0-5@10s:2.5     degrade node-0-5 by 2.5x from t=10s
 //
 // Times are Go durations relative to simulation start; the slow factor is
-// a service-time multiplier > 1 (recover resets it).
+// a finite service-time multiplier > 1 (recover resets it).
 package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,8 +60,8 @@ type Fault struct {
 	Kind Kind
 	Node cluster.NodeID
 	At   time.Duration
-	// Factor is the service-time multiplier of a Slow fault (> 1);
-	// ignored for Crash and Recover.
+	// Factor is the service-time multiplier of a Slow fault (finite and
+	// > 1); ignored for Crash and Recover.
 	Factor float64
 }
 
@@ -87,8 +88,11 @@ func (f Fault) Validate() error {
 	switch f.Kind {
 	case Crash, Recover:
 	case Slow:
-		if f.Factor <= 1 {
-			return fmt.Errorf("slow factor %g, want > 1", f.Factor)
+		// NaN and +Inf slip past a bare "<= 1" rejection, and the
+		// simulator would clamp their non-finite service times to no
+		// cost at all: the "slowed" node would speed up.
+		if !(f.Factor > 1) || math.IsInf(f.Factor, 1) {
+			return fmt.Errorf("slow factor %g, want a finite factor > 1", f.Factor)
 		}
 	default:
 		return fmt.Errorf("unknown fault kind %d", f.Kind)

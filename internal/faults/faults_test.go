@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,9 @@ func TestParseEventErrors(t *testing.T) {
 		"slow:node-0-3@20s",     // slow without factor
 		"slow:node-0-3@20s:1.0", // factor must exceed 1
 		"slow:node-0-3@20s:x",   // non-numeric factor
+		"slow:node-0-3@20s:NaN", // NaN passes "<= 1" unnoticed
+		"slow:node-0-3@20s:Inf", // so does +Inf
+		"slow:node-0-3@20s:-Inf",
 	}
 	for _, spec := range cases {
 		if _, err := ParseEvent(spec); err == nil {
@@ -157,6 +161,11 @@ func TestFaultValidate(t *testing.T) {
 	}
 	if err := (Fault{Kind: Crash, Node: "n", At: -time.Second}).Validate(); err == nil {
 		t.Errorf("negative time accepted")
+	}
+	for _, factor := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1, 0.5} {
+		if err := (Fault{Kind: Slow, Node: "n", Factor: factor}).Validate(); err == nil {
+			t.Errorf("slow factor %g accepted", factor)
+		}
 	}
 }
 

@@ -6,24 +6,8 @@ package metrics
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing tally, safe for concurrent use.
-// It is a bare atomic — no mutex — so concurrent writers never contend
-// on a lock (see BenchmarkCounterContention).
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n.
-//
-//rstorm:hotpath
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current tally.
-func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Windowed accumulates values into fixed-duration buckets of virtual
 // time. It is NOT safe for concurrent use: every writer in the
@@ -56,9 +40,6 @@ func (w *Windowed) Record(at time.Duration, v float64) {
 	}
 	w.buckets[idx] += v
 }
-
-// Window returns the bucket duration.
-func (w *Windowed) Window() time.Duration { return w.window }
 
 // Series returns a copy of the buckets, zero-filled through the bucket
 // containing horizon (exclusive of a trailing partial bucket when horizon

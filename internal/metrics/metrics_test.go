@@ -7,18 +7,6 @@ import (
 	"time"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatal("zero value not zero")
-	}
-	c.Add(5)
-	c.Add(3)
-	if got := c.Value(); got != 8 {
-		t.Fatalf("Value = %d, want 8", got)
-	}
-}
-
 func TestWindowedBucketsByTime(t *testing.T) {
 	w, err := NewWindowed(10 * time.Second)
 	if err != nil {
@@ -71,26 +59,6 @@ func TestNewWindowedRejectsBadWindow(t *testing.T) {
 	}
 	if _, err := NewWindowed(-time.Second); err == nil {
 		t.Error("negative window accepted")
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	const workers, per = 8, 1000
-	done := make(chan struct{})
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for j := 0; j < per; j++ {
-				c.Add(1)
-			}
-		}()
-	}
-	for i := 0; i < workers; i++ {
-		<-done
-	}
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("Value = %d, want %d", got, workers*per)
 	}
 }
 
@@ -233,5 +201,19 @@ func TestQuickPercentileWithinRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkWindowedRecord measures the per-tuple hot-path cost of
+// Windowed.Record.
+func BenchmarkWindowedRecord(b *testing.B) {
+	w, err := NewWindowed(10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Record(5, 1)
 	}
 }

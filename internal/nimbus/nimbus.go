@@ -132,9 +132,6 @@ func (n *Nimbus) Store() *statestore.Store { return n.store }
 // State exposes the global scheduling state.
 func (n *Nimbus) State() *core.GlobalState { return n.state }
 
-// Scheduler returns the configured scheduler.
-func (n *Nimbus) Scheduler() core.Scheduler { return n.scheduler }
-
 // AliveSupervisors returns the registered supervisor node IDs, sorted.
 func (n *Nimbus) AliveSupervisors() []cluster.NodeID {
 	names, err := n.store.Children(supervisorsPath)

@@ -25,7 +25,7 @@ import (
 // resolution time by the caller (orchestra does not know the registry).
 // Every later term multiplies the matrix. Omitted terms contribute a
 // single unset value, which resolution replaces with the caller's
-// defaults.
+// defaults. A spec may expand to at most maxCells cells.
 type Spec struct {
 	IDs       []string
 	Seeds     []int64
@@ -58,6 +58,11 @@ func (c CellSpec) Key() string {
 	}
 	return b.String()
 }
+
+// maxCells bounds the cells one spec may expand to. A seed range is
+// checked against it before its slice is allocated, so a range such as
+// 1..9223372036854775807 is an error, not an out-of-memory crash.
+const maxCells = 1 << 16
 
 // ParseSpec parses the matrix grammar above.
 func ParseSpec(s string) (*Spec, error) {
@@ -161,6 +166,13 @@ func ParseSpec(s string) (*Spec, error) {
 			return nil, fmt.Errorf("matrix spec %q: unknown knob %q (want seeds, duration, or window)", s, key)
 		}
 	}
+	cells := 1
+	for _, n := range []int{len(spec.IDs), len(spec.Seeds), len(spec.Durations), len(spec.Windows)} {
+		cells *= max(n, 1)
+		if cells > maxCells {
+			return nil, fmt.Errorf("matrix spec %q expands to more than %d cells", s, maxCells)
+		}
+	}
 	return spec, nil
 }
 
@@ -188,9 +200,14 @@ func parseInts(val string) ([]int64, error) {
 		if b < a {
 			return nil, fmt.Errorf("range %s..%s is descending", lo, hi)
 		}
+		if b-a >= maxCells {
+			return nil, fmt.Errorf("range %s..%s has more than %d values", lo, hi, maxCells)
+		}
+		// Count offsets rather than values: v <= b never fails when b is
+		// the largest int64, and v++ would wrap.
 		out := make([]int64, 0, b-a+1)
-		for v := a; v <= b; v++ {
-			out = append(out, v)
+		for i := int64(0); i <= b-a; i++ {
+			out = append(out, a+i)
 		}
 		return out, nil
 	}

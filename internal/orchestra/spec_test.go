@@ -1,6 +1,7 @@
 package orchestra
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -30,6 +31,11 @@ func TestParseSpecGrammar(t *testing.T) {
 		// The cross may be glued to its operands.
 		{"fig8a ×seeds=3", Spec{IDs: []string{"fig8a"}, Seeds: []int64{3}}},
 		{"fig8a×seeds=3", Spec{IDs: []string{"fig8a"}, Seeds: []int64{3}}},
+		// A range ending at the largest seed stops there instead of wrapping.
+		{"fig8a × seeds=9223372036854775806..9223372036854775807", Spec{
+			IDs:   []string{"fig8a"},
+			Seeds: []int64{math.MaxInt64 - 1, math.MaxInt64},
+		}},
 	}
 	for _, tc := range tests {
 		got, err := ParseSpec(tc.in)
@@ -67,6 +73,11 @@ func TestParseSpecErrors(t *testing.T) {
 		{"fig8a × duration=-3s", "out of range"},
 		{"fig8a × window=0s", "out of range"},
 		{"fig8a fig8b × seeds=1", "not separated by ×"},
+		{"fig8a × seeds=1..9223372036854775807", "more than 65536 values"},
+		{"fig8a × seeds=1..100000000000", "more than 65536 values"},
+		{"fig8a × seeds=1..65537", "more than 65536 values"},
+		{"a,b × seeds=1..32769", "more than 65536 cells"},
+		{"a,b × seeds=1..256 × duration=1s,2s × window=1s,2s,3s,4s,5s,6s,7s,8s,9s,10s,11s,12s,13s,14s,15s,16s,17s,18s,19s,20s,21s,22s,23s,24s,25s,26s,27s,28s,29s,30s,31s,32s,33s,34s,35s,36s,37s,38s,39s,40s,41s,42s,43s,44s,45s,46s,47s,48s,49s,50s,51s,52s,53s,54s,55s,56s,57s,58s,59s,60s,61s,62s,63s,64s,65s", "more than 65536 cells"},
 	}
 	for _, tc := range tests {
 		_, err := ParseSpec(tc.in)

@@ -66,6 +66,19 @@ func TestCoordinatorNextEvent(t *testing.T) {
 	}
 }
 
+// tickEvent counts its firings and reschedules itself every period on its
+// engine, keeping one event pending per lane forever.
+type tickEvent struct {
+	eng    *des.Engine
+	period time.Duration
+	count  *int
+}
+
+func (e *tickEvent) Fire() {
+	*e.count++
+	e.eng.ScheduleEvent(e.period, e)
+}
+
 // TestCoordinatorWindowedEnginesMatchSerial drives real des.Engines with
 // self-rescheduling events through the coordinator at several worker
 // counts: each lane's event count and final clock must match a serial
@@ -79,14 +92,8 @@ func TestCoordinatorWindowedEnginesMatchSerial(t *testing.T) {
 		counts := make([]int, lanes)
 		for i := range engines {
 			e := des.NewEngine()
-			i := i
 			period := time.Duration(100+13*i) * time.Microsecond
-			var tick func()
-			tick = func() {
-				counts[i]++
-				e.Schedule(period, tick)
-			}
-			e.Schedule(period, tick)
+			e.ScheduleEvent(period, &tickEvent{eng: e, period: period, count: &counts[i]})
 			engines[i] = e
 		}
 		c := NewCoordinator(engines, workers)
@@ -186,9 +193,7 @@ func BenchmarkCoordinatorWindow(b *testing.B) {
 			for i := range engines {
 				e := des.NewEngine()
 				period := time.Duration(50+7*i) * time.Microsecond
-				var tick func()
-				tick = func() { e.Schedule(period, tick) }
-				e.Schedule(period, tick)
+				e.ScheduleEvent(period, &tickEvent{eng: e, period: period, count: new(int)})
 				engines[i] = e
 			}
 			c := NewCoordinator(engines, workers)

@@ -62,11 +62,6 @@ func (v Vector) Dominates(o Vector) bool {
 	return v.CPU >= o.CPU && v.MemoryMB >= o.MemoryMB && v.Bandwidth >= o.Bandwidth
 }
 
-// IsNonNegative reports whether every component of v is >= 0.
-func (v Vector) IsNonNegative() bool {
-	return v.CPU >= 0 && v.MemoryMB >= 0 && v.Bandwidth >= 0
-}
-
 // IsZero reports whether v is the zero vector.
 func (v Vector) IsZero() bool {
 	return v == Vector{}

@@ -68,9 +68,20 @@ func (s *Simulation) InjectFault(f faults.Fault) error {
 	// The fault fires on the faulted node's lane: it mutates that lane's
 	// node, tasks, and links, so it must run inside that lane's loop.
 	ln := s.nodes[f.Node].lane
-	ln.eng.Schedule(f.At-now, func() { ln.applyFault(f) })
+	ln.eng.ScheduleEvent(f.At-now, &faultEvent{ln: ln, f: f})
 	return nil
 }
+
+// faultEvent fires one injected fault on the faulted node's lane. It is
+// its own event type rather than a kind of the pooled simEvent: faults
+// are rare, and every tuple hop would pay for the extra field.
+type faultEvent struct {
+	ln *simLane
+	f  faults.Fault
+}
+
+// Fire implements des.Event.
+func (e *faultEvent) Fire() { e.ln.applyFault(e.f) }
 
 // applyFault dispatches one fault event inside the faulted node's lane.
 // Redundant events (crash of a dead node, recover of a healthy one) are

@@ -220,22 +220,18 @@ func (s *Simulation) rehomeEvents() {
 	for _, lp := range all {
 		for _, pe := range lp.evs {
 			home := s.eventHome(pe, lp.src)
-			if pe.Ev != nil {
-				if se, ok := pe.Ev.(*simEvent); ok {
-					se.ln = home
-				}
-				home.eng.ScheduleEventAt(pe.At, pe.Ev)
-			} else {
-				home.eng.ScheduleAt(pe.At, pe.Fn)
+			if se, ok := pe.Ev.(*simEvent); ok {
+				se.ln = home
 			}
+			home.eng.ScheduleEventAt(pe.At, pe.Ev)
 		}
 	}
 }
 
 // eventHome resolves the lane a pending event must fire on after a
-// placement change. Closure events (fault injections) and per-lane ticks
-// stay where they were: their subject — a node, a lane's node subset —
-// never moves between lanes.
+// placement change. Fault injections and per-lane ticks stay where they
+// were: their subject — a node, a lane's node subset — never moves
+// between lanes.
 func (s *Simulation) eventHome(pe des.PendingEvent, src *simLane) *simLane {
 	se, ok := pe.Ev.(*simEvent)
 	if !ok {

@@ -498,9 +498,8 @@ func (s *Simulation) Start() error {
 	// Fault injections fire on the faulted node's lane: the crash mutates
 	// that lane's nodes and tasks, so it must run inside that lane's loop.
 	for _, f := range s.schedule {
-		f := f
 		ln := s.nodes[f.Node].lane
-		ln.eng.Schedule(f.At, func() { ln.applyFault(f) })
+		ln.eng.ScheduleEvent(f.At, &faultEvent{ln: ln, f: f})
 	}
 	for _, run := range s.runs {
 		for _, st := range run.ordered {

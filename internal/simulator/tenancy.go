@@ -2,7 +2,6 @@ package simulator
 
 import (
 	"fmt"
-	"time"
 
 	"rstorm/internal/core"
 	"rstorm/internal/topology"
@@ -218,7 +217,3 @@ func (s *Simulation) refreeze(affected map[*simNode]bool) {
 		}
 	}
 }
-
-// Now exposes the simulation's current virtual time — epoch drivers log
-// admission and eviction against it.
-func (s *Simulation) Now() time.Duration { return s.now() }

@@ -27,9 +27,6 @@ func (s *Simulation) SetJournal(j *trace.Journal) error {
 	return nil
 }
 
-// Journal returns the attached decision journal, or nil.
-func (s *Simulation) Journal() *trace.Journal { return s.journal }
-
 // Tracer returns the sampled tuple tracer, or nil when
 // Config.TraceSampleEvery is zero. Read its spans after the run.
 func (s *Simulation) Tracer() *trace.Tracer { return s.tracer }

@@ -65,38 +65,3 @@ func TestConcurrentSupervisorChurn(t *testing.T) {
 		t.Errorf("ephemeral nodes leaked: %v", children)
 	}
 }
-
-// TestConcurrentWatchers attaches watchers from several goroutines while
-// another mutates; every watcher must fire at most once and without racing.
-func TestConcurrentWatchers(t *testing.T) {
-	s := New()
-	if err := s.Create("/key", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	fired := 0
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = s.WatchData("/key", func(Event) {
-				mu.Lock()
-				fired++
-				mu.Unlock()
-			})
-		}()
-	}
-	wg.Wait()
-	if err := s.Set("/key", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Set("/key", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if fired != 8 {
-		t.Errorf("fired = %d, want 8 (one-shot each)", fired)
-	}
-}

@@ -1,8 +1,12 @@
 // Package statestore is an in-memory stand-in for Zookeeper (§2: Nimbus
 // "communicates and coordinates with Zookeeper to maintain a consistent
 // list of active worker nodes and to detect failure in the membership").
-// It provides a hierarchical key space, ephemeral nodes bound to sessions,
-// and one-shot watches — the subset of the Zookeeper contract Nimbus needs.
+// It provides a hierarchical key space and ephemeral nodes bound to
+// sessions — the subset of the Zookeeper contract Nimbus uses: supervisors
+// register ephemeral nodes and heartbeat into them, Nimbus keeps
+// topologies and assignments as persistent nodes, and it lists and reads
+// the supervisors each round. Nimbus polls rather than registering
+// watches, so the store has none.
 package statestore
 
 import (
@@ -34,67 +38,25 @@ var (
 // SessionID identifies a client session; ephemeral nodes die with it.
 type SessionID uint64
 
-// EventType classifies watch events.
-type EventType int
-
-const (
-	// EventCreated fires when a node is created.
-	EventCreated EventType = iota + 1
-	// EventUpdated fires when a node's data changes.
-	EventUpdated
-	// EventDeleted fires when a node is deleted (including ephemeral
-	// cleanup on session expiry).
-	EventDeleted
-)
-
-// String implements fmt.Stringer.
-func (e EventType) String() string {
-	switch e {
-	case EventCreated:
-		return "created"
-	case EventUpdated:
-		return "updated"
-	case EventDeleted:
-		return "deleted"
-	default:
-		return fmt.Sprintf("EventType(%d)", int(e))
-	}
-}
-
-// Event describes a change to a watched path.
-type Event struct {
-	Type EventType
-	Path string
-}
-
-// Watcher receives exactly one Event, then is discarded (Zookeeper's
-// one-shot watch semantics).
-type Watcher func(Event)
-
 type entry struct {
 	data  []byte
 	owner SessionID // 0 = persistent
 }
 
 // Store is the in-memory hierarchical state store. It is safe for
-// concurrent use. Watch callbacks run synchronously under no lock, after
-// the mutation completes.
+// concurrent use.
 type Store struct {
 	mu          sync.Mutex
 	nodes       map[string]*entry
 	sessions    map[SessionID]map[string]bool // session -> owned paths
 	nextSession SessionID
-	dataWatch   map[string][]Watcher
-	childWatch  map[string][]Watcher
 }
 
 // New returns a Store containing only the root node "/".
 func New() *Store {
 	return &Store{
-		nodes:      map[string]*entry{"/": {}},
-		sessions:   make(map[SessionID]map[string]bool),
-		dataWatch:  make(map[string][]Watcher),
-		childWatch: make(map[string][]Watcher),
+		nodes:    map[string]*entry{"/": {}},
+		sessions: make(map[SessionID]map[string]bool),
 	}
 }
 
@@ -117,31 +79,17 @@ func (s *Store) NewSession() SessionID {
 	return id
 }
 
-// ExpireSession deletes the session and every ephemeral node it owns,
-// firing watches for each deletion.
+// ExpireSession deletes the session and every ephemeral node it owns.
 func (s *Store) ExpireSession(id SessionID) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	owned, ok := s.sessions[id]
 	if !ok {
-		s.mu.Unlock()
 		return ErrNoSession
 	}
 	delete(s.sessions, id)
-	paths := make([]string, 0, len(owned))
 	for p := range owned {
-		paths = append(paths, p)
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(paths))) // children before parents
-	var fired []func()
-	for _, p := range paths {
-		if _, exists := s.nodes[p]; exists {
-			delete(s.nodes, p)
-			fired = append(fired, s.collectWatchesLocked(p, EventDeleted)...)
-		}
-	}
-	s.mu.Unlock()
-	for _, f := range fired {
-		f()
+		delete(s.nodes, p)
 	}
 	return nil
 }
@@ -157,29 +105,22 @@ func (s *Store) Create(p string, data []byte, session SessionID) error {
 		return fmt.Errorf("%w: /", ErrNodeExists)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if session != 0 {
 		if _, ok := s.sessions[session]; !ok {
-			s.mu.Unlock()
 			return ErrNoSession
 		}
 	}
 	if _, exists := s.nodes[p]; exists {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNodeExists, p)
 	}
 	parent := path.Dir(p)
 	if _, ok := s.nodes[parent]; !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoParent, parent)
 	}
 	s.nodes[p] = &entry{data: append([]byte(nil), data...), owner: session}
 	if session != 0 {
 		s.sessions[session][p] = true
-	}
-	fired := s.collectWatchesLocked(p, EventCreated)
-	s.mu.Unlock()
-	for _, f := range fired {
-		f()
 	}
 	return nil
 }
@@ -191,17 +132,12 @@ func (s *Store) Set(p string, data []byte) error {
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.nodes[p]
 	if !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoNode, p)
 	}
 	e.data = append([]byte(nil), data...)
-	fired := s.collectDataWatchesLocked(p, EventUpdated)
-	s.mu.Unlock()
-	for _, f := range fired {
-		f()
-	}
 	return nil
 }
 
@@ -239,13 +175,12 @@ func (s *Store) Delete(p string) error {
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.nodes[p]
 	if !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoNode, p)
 	}
 	if len(s.childrenLocked(p)) > 0 {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotEmpty, p)
 	}
 	delete(s.nodes, p)
@@ -253,11 +188,6 @@ func (s *Store) Delete(p string) error {
 		if owned, ok := s.sessions[e.owner]; ok {
 			delete(owned, p)
 		}
-	}
-	fired := s.collectWatchesLocked(p, EventDeleted)
-	s.mu.Unlock()
-	for _, f := range fired {
-		f()
 	}
 	return nil
 }
@@ -294,62 +224,4 @@ func (s *Store) childrenLocked(p string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// WatchData registers a one-shot watcher fired on the next create, update,
-// or delete of p.
-func (s *Store) WatchData(p string, w Watcher) error {
-	p, err := normalize(p)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dataWatch[p] = append(s.dataWatch[p], w)
-	return nil
-}
-
-// WatchChildren registers a one-shot watcher fired the next time a direct
-// child of p is created or deleted.
-func (s *Store) WatchChildren(p string, w Watcher) error {
-	p, err := normalize(p)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.nodes[p]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoNode, p)
-	}
-	s.childWatch[p] = append(s.childWatch[p], w)
-	return nil
-}
-
-// collectWatchesLocked gathers data watches on p and child watches on its
-// parent for create/delete events.
-func (s *Store) collectWatchesLocked(p string, t EventType) []func() {
-	fired := s.collectDataWatchesLocked(p, t)
-	parent := path.Dir(p)
-	if ws := s.childWatch[parent]; len(ws) > 0 {
-		delete(s.childWatch, parent)
-		ev := Event{Type: t, Path: p}
-		for _, w := range ws {
-			w := w
-			fired = append(fired, func() { w(ev) })
-		}
-	}
-	return fired
-}
-
-func (s *Store) collectDataWatchesLocked(p string, t EventType) []func() {
-	var fired []func()
-	if ws := s.dataWatch[p]; len(ws) > 0 {
-		delete(s.dataWatch, p)
-		ev := Event{Type: t, Path: p}
-		for _, w := range ws {
-			w := w
-			fired = append(fired, func() { w(ev) })
-		}
-	}
-	return fired
 }

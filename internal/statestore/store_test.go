@@ -54,7 +54,6 @@ func TestErrors(t *testing.T) {
 		{"empty path", func() error { _, err := s.Get(""); return err }, ErrBadPath},
 		{"create with dead session", func() error { return s.Create("/b", nil, 42) }, ErrNoSession},
 		{"expire unknown session", func() error { return s.ExpireSession(42) }, ErrNoSession},
-		{"watch children of missing", func() error { return s.WatchChildren("/nope", func(Event) {}) }, ErrNoNode},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -148,91 +147,6 @@ func TestDeleteEphemeralBeforeExpiry(t *testing.T) {
 	}
 }
 
-func TestDataWatchFiresOnceOnUpdate(t *testing.T) {
-	s := New()
-	if err := s.Create("/a", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
-	if err := s.WatchData("/a", func(e Event) { events = append(events, e) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Set("/a", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Set("/a", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].Type != EventUpdated || events[0].Path != "/a" {
-		t.Fatalf("events = %v", events)
-	}
-}
-
-func TestDataWatchFiresOnDelete(t *testing.T) {
-	s := New()
-	if err := s.Create("/a", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	var got *Event
-	if err := s.WatchData("/a", func(e Event) { got = &e }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("/a"); err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || got.Type != EventDeleted {
-		t.Fatalf("event = %v", got)
-	}
-}
-
-func TestChildWatchFiresOnCreateAndExpiry(t *testing.T) {
-	s := New()
-	if err := s.Create("/sup", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	var events []Event
-	watch := func() {
-		if err := s.WatchChildren("/sup", func(e Event) { events = append(events, e) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	watch()
-	sess := s.NewSession()
-	if err := s.Create("/sup/n1", nil, sess); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 1 || events[0].Type != EventCreated || events[0].Path != "/sup/n1" {
-		t.Fatalf("create events = %v", events)
-	}
-	watch() // re-arm (one-shot)
-	if err := s.ExpireSession(sess); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 || events[1].Type != EventDeleted {
-		t.Fatalf("expiry events = %v", events)
-	}
-}
-
-func TestWatchDoesNotFireForGrandchildren(t *testing.T) {
-	s := New()
-	if err := s.Create("/a", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Create("/a/b", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	fired := false
-	if err := s.WatchChildren("/a", func(Event) { fired = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Create("/a/b/c", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Error("child watch fired for grandchild")
-	}
-}
-
 func TestGetReturnsCopy(t *testing.T) {
 	s := New()
 	if err := s.Create("/a", []byte("abc"), 0); err != nil {
@@ -256,14 +170,6 @@ func TestPathNormalization(t *testing.T) {
 	}
 	if !s.Exists("//a") {
 		t.Error("double slash not normalized")
-	}
-}
-
-func TestEventTypeString(t *testing.T) {
-	for _, e := range []EventType{EventCreated, EventUpdated, EventDeleted, EventType(99)} {
-		if e.String() == "" {
-			t.Errorf("empty string for %d", int(e))
-		}
 	}
 }
 

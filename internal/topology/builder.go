@@ -3,7 +3,6 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Builder assembles a Topology, mirroring Storm's TopologyBuilder and the
@@ -197,14 +196,6 @@ func (d *SpoutDeclarer) SetBandwidthLoad(bw float64) *SpoutDeclarer {
 // SetProfile sets the simulated execution profile.
 func (d *SpoutDeclarer) SetProfile(p ExecProfile) *SpoutDeclarer {
 	d.setProfile(p)
-	return d
-}
-
-// SetEmitInterval is a convenience for configuring how quickly the spout
-// produces tuples: it sets CPUPerTuple on the profile, which is the spout's
-// per-tuple generation cost.
-func (d *SpoutDeclarer) SetEmitInterval(dur time.Duration) *SpoutDeclarer {
-	d.component.Profile.CPUPerTuple = dur
 	return d
 }
 

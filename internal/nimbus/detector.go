@@ -1,7 +1,6 @@
 package nimbus
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -209,15 +208,24 @@ func (n *Nimbus) DetectorStatus() DetectorStatus {
 //
 // Call it on the master's heartbeat cadence; the suspect/dead thresholds
 // are measured in these calls.
+//
+// A supervisor's heartbeat seq is the data version of its presence node
+// /supervisors/<id>: registration creates the node (version 0, payload
+// seq 0), each Heartbeat is exactly one Set, a rejoin is a fresh Create,
+// and nothing else writes the node. So one ChildVersions call reads every
+// supervisor's presence and progress, and no payload is decoded.
 func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 	// Read presence outside the Nimbus lock; the store has its own.
-	present := make(map[cluster.NodeID]int64)
-	if names, err := n.store.Children(supervisorsPath); err == nil {
-		for _, name := range names {
-			var hb HeartbeatPayload
-			if data, err := n.store.Get(supervisorsPath + "/" + name); err == nil &&
-				json.Unmarshal(data, &hb) == nil {
-				present[cluster.NodeID(name)] = hb.Seq
+	// seqs[i] is the heartbeat seq of the node at cluster index i, or -1
+	// when it has no presence node.
+	seqs := make([]int64, n.cluster.Size())
+	for i := range seqs {
+		seqs[i] = -1
+	}
+	if children, err := n.store.ChildVersions(supervisorsPath); err == nil {
+		for _, c := range children {
+			if i, ok := n.cluster.Index(cluster.NodeID(c.Name)); ok {
+				seqs[i] = c.Version
 			}
 		}
 	}
@@ -229,8 +237,8 @@ func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 	}
 	d.ticks++
 	var newlyDead, recovered []cluster.NodeID
-	for _, id := range n.cluster.NodeIDs() { // declaration order: deterministic
-		seq, here := present[id]
+	for i, seq := range seqs { // declaration order: deterministic
+		id, here := n.cluster.NodeAt(i).ID, seq >= 0
 		h := d.nodes[id]
 		if h == nil {
 			if !here {

@@ -553,3 +553,86 @@ func BenchmarkFailoverRound(b *testing.B) {
 		}
 	}
 }
+
+// startDetector registers a supervisor on every node of c, in declaration
+// order, with the failure detector on, and runs the first tick.
+func startDetector(tb testing.TB, c *cluster.Cluster) (*Nimbus, []*Supervisor) {
+	tb.Helper()
+	n, err := New(c, core.NewResourceAwareScheduler())
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	n.EnableFailureDetector(DetectorConfig{})
+	svs := make([]*Supervisor, 0, c.Size())
+	for _, id := range c.NodeIDs() {
+		sv, err := n.StartSupervisor(id)
+		if err != nil {
+			tb.Fatalf("StartSupervisor(%s): %v", id, err)
+		}
+		svs = append(svs, sv)
+	}
+	n.HeartbeatTick()
+	return n, svs
+}
+
+// detectorCycle is one heartbeat period on a healthy cluster: every
+// supervisor beats, then the detector ticks.
+func detectorCycle(tb testing.TB, n *Nimbus, svs []*Supervisor) {
+	for _, sv := range svs {
+		if err := sv.Heartbeat(); err != nil {
+			tb.Fatalf("Heartbeat(%s): %v", sv.ID(), err)
+		}
+	}
+	if dead := n.HeartbeatTick(); len(dead) > 0 {
+		tb.Fatalf("healthy cluster declared %v dead", dead)
+	}
+}
+
+// TestHeartbeatAllocs pins the heartbeat path's allocation profile once
+// warm: a Supervisor.Heartbeat allocates nothing, and a detector cycle
+// allocates as many times on 12 nodes as on 256, so nothing is allocated
+// per supervisor. The tick's two are the ChildVersions listing and the
+// presence slice.
+func TestHeartbeatAllocs(t *testing.T) {
+	large, err := cluster.TwoRack(8, 32, cluster.EmulabNodeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(c *cluster.Cluster) (cycle, beat float64) {
+		n, svs := startDetector(t, c)
+		for i := 0; i < 10; i++ {
+			detectorCycle(t, n, svs)
+		}
+		cycle = testing.AllocsPerRun(50, func() { detectorCycle(t, n, svs) })
+		beat = testing.AllocsPerRun(100, func() {
+			if err := svs[0].Heartbeat(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return cycle, beat
+	}
+	smallCycle, smallBeat := allocs(testCluster(t))
+	largeCycle, largeBeat := allocs(large)
+	if smallCycle != largeCycle || largeCycle > 2 {
+		t.Errorf("a detector cycle allocates %v times on Emulab12 and %v on TwoRack(8,32), want the same, at most 2",
+			smallCycle, largeCycle)
+	}
+	if smallBeat != 0 || largeBeat != 0 {
+		t.Errorf("Heartbeat allocates %v times on Emulab12 and %v on TwoRack(8,32), want 0", smallBeat, largeBeat)
+	}
+}
+
+// BenchmarkHeartbeatTick measures one heartbeat period on 256 healthy
+// supervisors: every supervisor beats, then one HeartbeatTick.
+func BenchmarkHeartbeatTick(b *testing.B) {
+	c, err := cluster.TwoRack(8, 32, cluster.EmulabNodeSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, svs := startDetector(b, c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		detectorCycle(b, n, svs)
+	}
+}

@@ -3,6 +3,7 @@ package nimbus
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -18,6 +19,13 @@ import (
 // order and their error texts all land in Events(), so any change to what
 // R-Storm decides on this session shows up here.
 const sessionDigest = "8445c3cc000df82afd8cf624b74af79083d59dd6e2f5a3f38820ed422668b96c"
+
+// detectorDigest is the SHA-256 of json.Marshal(DetectorStatus()) at the
+// end of the same session, recorded while the detector still decoded
+// every heartbeat payload for its seq. It pins each node's state, missed
+// and healthy counts and lastSeq, and the failover history, so it holds
+// the detector to reading the same seqs from data versions.
+const detectorDigest = "ecabecf0fc07955b2840efb549257c77b985f829bdb1a36691ab1c70638bf961"
 
 // runSession drives a seeded closed-loop control-plane session with the
 // failure detector on: every cycle the live supervisors heartbeat, the
@@ -101,9 +109,10 @@ func runSession(t *testing.T, seed int64, cycles int) *Nimbus {
 	return n
 }
 
-// TestSessionDigest pins R-Storm's decisions over a 300-cycle session
-// that exercises admission by priority, eviction and rollback, stall and
-// session-expiry failover with requeues, flap damping, and kills.
+// TestSessionDigest pins R-Storm's decisions and the detector's view over
+// a 300-cycle session that exercises admission by priority, eviction and
+// rollback, stall and session-expiry failover with requeues, flap
+// damping, and kills.
 func TestSessionDigest(t *testing.T) {
 	n := runSession(t, 1, 300)
 	events := n.Events()
@@ -127,5 +136,13 @@ func TestSessionDigest(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != sessionDigest {
 		t.Errorf("event log digest = %s, want %s (%d events, %d evictions, %d failovers)",
 			got, sessionDigest, len(events), len(n.Evictions()), len(n.Failovers()))
+	}
+	status, err := json.Marshal(n.DetectorStatus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum = sha256.Sum256(status)
+	if got := hex.EncodeToString(sum[:]); got != detectorDigest {
+		t.Errorf("detector status digest = %s, want %s", got, detectorDigest)
 	}
 }

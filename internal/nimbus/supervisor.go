@@ -3,6 +3,7 @@ package nimbus
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/statestore"
@@ -10,7 +11,8 @@ import (
 
 // HeartbeatPayload is what a supervisor publishes to the state store —
 // R-Storm modifies Storm so machines "send their resource availability to
-// Nimbus" (§5).
+// Nimbus" (§5). Seq must stay the last field: Heartbeat rewrites only the
+// payload's tail.
 type HeartbeatPayload struct {
 	Node     string  `json:"node"`
 	CPU      float64 `json:"cpu"`
@@ -22,12 +24,22 @@ type HeartbeatPayload struct {
 // Supervisor is a worker node's daemon: it registers an ephemeral presence
 // node bound to its session and heartbeats through it. Expiring the
 // session models a machine failure.
+//
+// A Supervisor is driven by one goroutine. Its presence node's data
+// version equals its heartbeat seq, which HeartbeatTick relies on:
+// StartSupervisor creates the node with seq 0, and each Heartbeat is
+// exactly one Set.
 type Supervisor struct {
 	id      cluster.NodeID
-	nimbus  *Nimbus
+	store   *statestore.Store
 	session statestore.SessionID
 	seq     int64
 	failed  bool
+	path    string // presence node, /supervisors/<id>
+	// beat holds the payload: the registration payload's first prefix
+	// bytes (everything before the seq value), then the seq and '}'.
+	beat   []byte
+	prefix int
 }
 
 // StartSupervisor registers a supervisor for a cluster node.
@@ -37,7 +49,6 @@ func (n *Nimbus) StartSupervisor(id cluster.NodeID) (*Supervisor, error) {
 	}
 	node := n.cluster.Node(id)
 	session := n.store.NewSession()
-	sv := &Supervisor{id: id, nimbus: n, session: session}
 	payload, err := json.Marshal(HeartbeatPayload{
 		Node:     string(id),
 		CPU:      node.Spec.Capacity.CPU,
@@ -47,33 +58,26 @@ func (n *Nimbus) StartSupervisor(id cluster.NodeID) (*Supervisor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encode heartbeat: %w", err)
 	}
-	if err := n.store.Create(supervisorsPath+"/"+string(id), payload, session); err != nil {
+	path := supervisorsPath + "/" + string(id)
+	if err := n.store.Create(path, payload, session); err != nil {
 		return nil, fmt.Errorf("register presence: %w", err)
 	}
-	return sv, nil
+	return &Supervisor{id: id, store: n.store, session: session, path: path,
+		beat: payload, prefix: len(payload) - len("0}")}, nil
 }
 
 // ID returns the supervisor's node ID.
 func (sv *Supervisor) ID() cluster.NodeID { return sv.id }
 
-// Heartbeat publishes a fresh sequence number.
+// Heartbeat publishes a fresh sequence number. The bytes equal
+// json.Marshal of the HeartbeatPayload with the new Seq.
 func (sv *Supervisor) Heartbeat() error {
 	if sv.failed {
 		return fmt.Errorf("supervisor %s has failed", sv.id)
 	}
 	sv.seq++
-	node := sv.nimbus.cluster.Node(sv.id)
-	payload, err := json.Marshal(HeartbeatPayload{
-		Node:     string(sv.id),
-		CPU:      node.Spec.Capacity.CPU,
-		MemoryMB: node.Spec.Capacity.MemoryMB,
-		Slots:    node.Spec.Slots,
-		Seq:      sv.seq,
-	})
-	if err != nil {
-		return fmt.Errorf("encode heartbeat: %w", err)
-	}
-	return sv.nimbus.store.Set(supervisorsPath+"/"+string(sv.id), payload)
+	sv.beat = append(strconv.AppendInt(sv.beat[:sv.prefix], sv.seq, 10), '}')
+	return sv.store.Set(sv.path, sv.beat)
 }
 
 // Fail simulates the machine dying: the session expires and the ephemeral
@@ -83,5 +87,5 @@ func (sv *Supervisor) Fail() error {
 		return fmt.Errorf("supervisor %s already failed", sv.id)
 	}
 	sv.failed = true
-	return sv.nimbus.store.ExpireSession(sv.session)
+	return sv.store.ExpireSession(sv.session)
 }

@@ -7,13 +7,30 @@
 // topologies and assignments as persistent nodes, and it lists and reads
 // the supervisors each round. Nimbus polls rather than registering
 // watches, so the store has none.
+//
+// As in Zookeeper, every node carries a data version (Stat.version): 0
+// when it is created, one more on every Set. ChildVersions lists a node's
+// children with their versions under one lock hold, so a reader can see
+// which children were written since it last looked without reading any
+// data.
+//
+// Each node keeps its children sorted by name, each with its entry, as
+// Zookeeper's DataNode keeps its child set. Create, Delete and
+// ExpireSession maintain this child index, and Children, ChildVersions and
+// Delete's emptiness check read it, so none of them scans the key space.
+//
+// Two Zookeeper refusals hold here too. The root cannot be deleted
+// (ErrBadPath). An ephemeral node takes no children except ephemeral
+// nodes of its own session, which die with it
+// (ErrNoChildrenForEphemerals). Together they keep every node's parent in
+// the store.
 package statestore
 
 import (
 	"errors"
 	"fmt"
 	"path"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -31,16 +48,48 @@ var (
 	// ErrNoSession reports an operation with an expired or unknown
 	// session.
 	ErrNoSession = errors.New("session does not exist")
-	// ErrBadPath reports a malformed path.
+	// ErrBadPath reports a malformed path, or a Create or Delete of the
+	// root.
 	ErrBadPath = errors.New("bad path")
+	// ErrNoChildrenForEphemerals reports a Create under an ephemeral node
+	// of anything but an ephemeral node of the same session.
+	ErrNoChildrenForEphemerals = errors.New("ephemeral node takes only ephemeral children of its session")
 )
 
 // SessionID identifies a client session; ephemeral nodes die with it.
 type SessionID uint64
 
+// ChildVersion is one child's name and data version, as ChildVersions
+// lists them.
+type ChildVersion struct {
+	Name    string
+	Version int64
+}
+
 type entry struct {
-	data  []byte
-	owner SessionID // 0 = persistent
+	data     []byte
+	version  int64     // 0 at Create, +1 per Set
+	owner    SessionID // 0 = persistent
+	children []child   // sorted by name
+}
+
+// child is one entry of a node's child index.
+type child struct {
+	name string
+	e    *entry
+}
+
+func byName(c child, name string) int { return strings.Compare(c.name, name) }
+
+func (e *entry) link(name string, c *entry) {
+	i, _ := slices.BinarySearchFunc(e.children, name, byName)
+	e.children = slices.Insert(e.children, i, child{name, c})
+}
+
+func (e *entry) unlink(name string) {
+	if i, ok := slices.BinarySearchFunc(e.children, name, byName); ok {
+		e.children = slices.Delete(e.children, i, i+1)
+	}
 }
 
 // Store is the in-memory hierarchical state store. It is safe for
@@ -69,6 +118,16 @@ func normalize(p string) (string, error) {
 	return clean, nil
 }
 
+// split returns a normalized path's parent and its last element. p must
+// not be the root.
+func split(p string) (dir, name string) {
+	i := strings.LastIndexByte(p, '/')
+	if i == 0 {
+		return "/", p[1:]
+	}
+	return p[:i], p[i+1:]
+}
+
 // NewSession opens a session for ephemeral ownership.
 func (s *Store) NewSession() SessionID {
 	s.mu.Lock()
@@ -89,13 +148,25 @@ func (s *Store) ExpireSession(id SessionID) error {
 	}
 	delete(s.sessions, id)
 	for p := range owned {
-		delete(s.nodes, p)
+		s.removeLocked(p)
 	}
 	return nil
 }
 
+// removeLocked deletes a node from the key space and from its parent's
+// child index. A parent removed earlier in the same expiry needs no
+// unlinking. Caller holds s.mu.
+func (s *Store) removeLocked(p string) {
+	delete(s.nodes, p)
+	dir, name := split(p)
+	if parent, ok := s.nodes[dir]; ok {
+		parent.unlink(name)
+	}
+}
+
 // Create adds a node. The parent must exist. With a non-zero session the
-// node is ephemeral and dies with the session.
+// node is ephemeral and dies with the session. An ephemeral parent takes
+// only ephemeral children of its own session.
 func (s *Store) Create(p string, data []byte, session SessionID) error {
 	p, err := normalize(p)
 	if err != nil {
@@ -114,18 +185,25 @@ func (s *Store) Create(p string, data []byte, session SessionID) error {
 	if _, exists := s.nodes[p]; exists {
 		return fmt.Errorf("%w: %s", ErrNodeExists, p)
 	}
-	parent := path.Dir(p)
-	if _, ok := s.nodes[parent]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoParent, parent)
+	dir, name := split(p)
+	parent, ok := s.nodes[dir]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoParent, dir)
 	}
-	s.nodes[p] = &entry{data: append([]byte(nil), data...), owner: session}
+	if parent.owner != 0 && parent.owner != session {
+		return fmt.Errorf("%w: %s", ErrNoChildrenForEphemerals, dir)
+	}
+	e := &entry{data: append([]byte(nil), data...), owner: session}
+	s.nodes[p] = e
+	parent.link(name, e)
 	if session != 0 {
 		s.sessions[session][p] = true
 	}
 	return nil
 }
 
-// Set replaces a node's data.
+// Set replaces a node's data and increments its version. The store keeps
+// its own copy, so the caller may reuse data afterwards.
 func (s *Store) Set(p string, data []byte) error {
 	p, err := normalize(p)
 	if err != nil {
@@ -137,7 +215,10 @@ func (s *Store) Set(p string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoNode, p)
 	}
-	e.data = append([]byte(nil), data...)
+	// Reusing the buffer is safe: Create and Get copy, so no caller holds
+	// e.data.
+	e.data = append(e.data[:0], data...)
+	e.version++
 	return nil
 }
 
@@ -168,11 +249,14 @@ func (s *Store) Exists(p string) bool {
 	return ok
 }
 
-// Delete removes a childless node.
+// Delete removes a childless node other than the root.
 func (s *Store) Delete(p string) error {
 	p, err := normalize(p)
 	if err != nil {
 		return err
+	}
+	if p == "/" {
+		return fmt.Errorf("%w: cannot delete /", ErrBadPath)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -180,10 +264,10 @@ func (s *Store) Delete(p string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoNode, p)
 	}
-	if len(s.childrenLocked(p)) > 0 {
+	if len(e.children) > 0 {
 		return fmt.Errorf("%w: %s", ErrNotEmpty, p)
 	}
-	delete(s.nodes, p)
+	s.removeLocked(p)
 	if e.owner != 0 {
 		if owned, ok := s.sessions[e.owner]; ok {
 			delete(owned, p)
@@ -201,27 +285,39 @@ func (s *Store) Children(p string) ([]string, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.nodes[p]; !ok {
+	e, ok := s.nodes[p]
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoNode, p)
 	}
-	return s.childrenLocked(p), nil
+	if len(e.children) == 0 {
+		return nil, nil
+	}
+	out := make([]string, len(e.children))
+	for i, c := range e.children {
+		out[i] = c.name
+	}
+	return out, nil
 }
 
-func (s *Store) childrenLocked(p string) []string {
-	prefix := p
-	if prefix != "/" {
-		prefix += "/"
+// ChildVersions returns the name and data version of each of a node's
+// children, sorted by name, read under one lock hold.
+func (s *Store) ChildVersions(p string) ([]ChildVersion, error) {
+	p, err := normalize(p)
+	if err != nil {
+		return nil, err
 	}
-	var out []string
-	for candidate := range s.nodes {
-		if candidate == p || !strings.HasPrefix(candidate, prefix) {
-			continue
-		}
-		rest := candidate[len(prefix):]
-		if !strings.Contains(rest, "/") {
-			out = append(out, rest)
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.nodes[p]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoNode, p)
 	}
-	sort.Strings(out)
-	return out
+	if len(e.children) == 0 {
+		return nil, nil
+	}
+	out := make([]ChildVersion, len(e.children))
+	for i, c := range e.children {
+		out[i] = ChildVersion{Name: c.name, Version: c.e.version}
+	}
+	return out, nil
 }

@@ -38,6 +38,11 @@ func TestErrors(t *testing.T) {
 	if err := s.Create("/a", nil, 0); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	empty := New()
+	owner, other := s.NewSession(), s.NewSession()
+	if err := s.Create("/e", nil, owner); err != nil {
+		t.Fatalf("Create ephemeral: %v", err)
+	}
 	tests := []struct {
 		name string
 		op   func() error
@@ -54,6 +59,10 @@ func TestErrors(t *testing.T) {
 		{"empty path", func() error { _, err := s.Get(""); return err }, ErrBadPath},
 		{"create with dead session", func() error { return s.Create("/b", nil, 42) }, ErrNoSession},
 		{"expire unknown session", func() error { return s.ExpireSession(42) }, ErrNoSession},
+		{"delete root", func() error { return empty.Delete("/") }, ErrBadPath},
+		{"delete root with children", func() error { return s.Delete("//") }, ErrBadPath},
+		{"persistent child of ephemeral", func() error { return s.Create("/e/c", nil, 0) }, ErrNoChildrenForEphemerals},
+		{"child of ephemeral from another session", func() error { return s.Create("/e/c", nil, other) }, ErrNoChildrenForEphemerals},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -61,6 +70,15 @@ func TestErrors(t *testing.T) {
 				t.Errorf("err = %v, want %v", err, tt.want)
 			}
 		})
+	}
+	// The refusals left the stores usable and the ephemeral node childless.
+	for _, st := range []*Store{s, empty} {
+		if err := st.Create("/b", nil, 0); err != nil || !st.Exists("/") {
+			t.Errorf("Create after refusals: %v", err)
+		}
+	}
+	if got, err := s.Children("/e"); err != nil || len(got) != 0 {
+		t.Errorf("Children(/e) = %v, %v; want none", got, err)
 	}
 }
 

@@ -168,24 +168,7 @@ func TestRunPrintsMeasuredTable(t *testing.T) {
 // spec the loop must instead migrate off the filling node, take no OOM
 // kills, and report a memory-triggered rebalance.
 func TestRunMemoryModel(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "memliar.json")
-	spec := `{
-	  "name": "memliar",
-	  "components": [
-	    {"name": "s", "kind": "spout", "parallelism": 2, "cpuLoad": 10, "memoryLoadMb": 128,
-	     "profile": {"cpuPerTupleUs": 500, "tupleBytes": 512}},
-	    {"name": "cache", "kind": "bolt", "parallelism": 6, "cpuLoad": 8, "memoryLoadMb": 128,
-	     "profile": {"cpuPerTupleUs": 100, "tupleBytes": 512, "memMb": 1408, "memGrowTuples": 20000},
-	     "inputs": [{"from": "s"}]},
-	    {"name": "z", "kind": "bolt", "parallelism": 2, "cpuLoad": 10, "memoryLoadMb": 128,
-	     "profile": {"cpuPerTupleUs": 100, "tupleBytes": 512},
-	     "inputs": [{"from": "cache"}]}
-	  ]
-	}`
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join("testdata", "memliar.json")
 
 	var static bytes.Buffer
 	err := run(&static, []string{
@@ -226,24 +209,7 @@ func TestRunMemoryModel(t *testing.T) {
 // spec whose declarations undersell a truly heavy stage, and expects the
 // loop to report its rebalances.
 func TestRunAdaptiveMode(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "liar.json")
-	spec := `{
-	  "name": "liar",
-	  "components": [
-	    {"name": "s", "kind": "spout", "parallelism": 2, "cpuLoad": 10, "memoryLoadMb": 256,
-	     "profile": {"cpuPerTupleUs": 100, "tupleBytes": 128}},
-	    {"name": "work", "kind": "bolt", "parallelism": 6, "cpuLoad": 10, "memoryLoadMb": 256,
-	     "profile": {"cpuPerTupleUs": 2000, "tupleBytes": 128, "cpuPoints": 80},
-	     "inputs": [{"from": "s"}]},
-	    {"name": "z", "kind": "bolt", "parallelism": 2, "cpuLoad": 10, "memoryLoadMb": 256,
-	     "profile": {"cpuPerTupleUs": 100, "tupleBytes": 128},
-	     "inputs": [{"from": "work"}]}
-	  ]
-	}`
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join("testdata", "liar.json")
 	var out bytes.Buffer
 	err := run(&out, []string{
 		"-topology", path,
@@ -270,8 +236,6 @@ func TestRunAdaptiveMode(t *testing.T) {
 // cold, CPU-overdeclared chain it must consolidate (imbalance-triggered
 // moves) and end with a lower inter-node fraction than the static run.
 func TestRunTrafficMode(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "chatty.json")
 	// A scaled-down ChattyChain: declared heavy (spread one task per
 	// node), truly idle and latency-bound, with fat tuples on every edge.
 	// Four stages two tasks wide: the CPU lie spreads the chain across
@@ -279,25 +243,7 @@ func TestRunTrafficMode(t *testing.T) {
 	// what gives the traffic objective single-task moves to find. (A
 	// 2-node symmetric split is a fixed point: every task's traffic pulls
 	// equally both ways.)
-	spec := `{
-	  "name": "chatty",
-	  "components": [
-	    {"name": "src", "kind": "spout", "parallelism": 2, "cpuLoad": 85, "memoryLoadMb": 64,
-	     "profile": {"cpuPerTupleUs": 50, "tupleBytes": 8192, "cpuPoints": 8}},
-	    {"name": "mid", "kind": "bolt", "parallelism": 2, "cpuLoad": 85, "memoryLoadMb": 64,
-	     "profile": {"cpuPerTupleUs": 50, "tupleBytes": 8192, "cpuPoints": 8},
-	     "inputs": [{"from": "src"}]},
-	    {"name": "fold", "kind": "bolt", "parallelism": 2, "cpuLoad": 85, "memoryLoadMb": 64,
-	     "profile": {"cpuPerTupleUs": 50, "tupleBytes": 8192, "cpuPoints": 8},
-	     "inputs": [{"from": "mid"}]},
-	    {"name": "out", "kind": "bolt", "parallelism": 2, "cpuLoad": 85, "memoryLoadMb": 64,
-	     "profile": {"cpuPerTupleUs": 50, "tupleBytes": 8192, "cpuPoints": 8},
-	     "inputs": [{"from": "fold"}]}
-	  ]
-	}`
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join("testdata", "chatty.json")
 	var static bytes.Buffer
 	err := run(&static, []string{
 		"-topology", path, "-traffic",

@@ -1,19 +1,32 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
+
+// update rewrites the checked-in goldens instead of comparing against
+// them: `go test ./internal/experiments -run TestGoldenDiffAllExperiments
+// -update`. An intended result change then arrives as one reviewable diff
+// under testdata/golden.
+//
+//rstorm:global-ok test flag: set by flag parsing before any test runs, read-only afterwards
+var update = flag.Bool("update", false, "rewrite testdata/golden from the current output")
 
 // goldenOpts are the short options the golden-diff harness runs every
 // experiment under. Experiments with intrinsic timelines (memstress) or
 // their own control windows (elasticity, consolidate) take what they need
 // from these and override the rest — the harness only cares that the same
-// options go in twice.
+// options go in every time.
 func goldenOpts() Options {
 	return Options{
 		Duration:      6 * time.Second,
@@ -22,20 +35,66 @@ func goldenOpts() Options {
 	}
 }
 
-// TestGoldenDiffAllExperiments is the repository's determinism harness:
-// every registered experiment — adaptive control decisions, OOM kills,
-// migrations and all — must produce byte-identical reports when run twice
-// with the same options, under both kernels. The legacy kernel
-// (Shards = 0) is checked run-to-run; the sharded kernel is additionally
-// checked across worker counts {1, 2, NumCPU}, which must all agree —
-// Shards >= 1 is pure parallelism, never a result knob (DESIGN.md §11).
-// It subsumes the per-experiment ad-hoc determinism checks; a new
-// experiment is covered the moment it is registered in All().
+// goldenText is what a golden file holds: the rendered report, then every
+// row and series value at full precision, so a deterministic shift too
+// small for the rendering's one decimal still shows in the diff.
+func goldenText(r *Report) string {
+	var b strings.Builder
+	b.WriteString(r.Render())
+	b.WriteString("\n-- exact values --\n")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "row %q: %v %v %v\n", row.Label, row.Baseline, row.RStorm, row.ImprovementPct)
+	}
+	names := make([]string, 0, len(r.Series))
+	for name := range r.Series {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&b, "series %q: %v\n", name, r.Series[name])
+	}
+	return b.String()
+}
+
+// checkGolden compares got against testdata/golden/<name>, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if string(want) != got {
+		t.Errorf("%s differs from the checked-in golden (rerun with -update if the change is intended):\n--- want ---\n%s\n--- got ---\n%s",
+			path, want, got)
+	}
+}
+
+// TestGoldenDiffAllExperiments is the repository's determinism harness.
+// Every registered experiment — adaptive control decisions, OOM kills,
+// migrations and all — must reproduce its checked-in report under
+// testdata/golden at both lane partitions: <id>.shards0.txt (Shards = 0,
+// one lane spanning the cluster) and <id>.shards1.txt (Shards >= 1, one
+// lane per rack). It also runs the one-lane partition twice, which must
+// agree, and the per-rack partition at worker counts {1, 2, NumCPU},
+// which must all agree — the worker count is pure parallelism, never a
+// result knob (DESIGN.md §11). A new experiment is covered the moment it
+// is registered in All().
 //
-// The legacy run also pins the paper's headline claims: the first row of
-// each throughput figure must show an R-Storm gain within ±10 points of
-// the paper's, so a change that moves a result fails here even when it
-// moves it deterministically.
+// The one-lane run also pins the paper's headline claims: the first row
+// of each throughput figure must show an R-Storm gain within ±10 points
+// of the paper's, so a deliberate golden update still cannot drift the
+// reproduction away from the paper unnoticed.
 func TestGoldenDiffAllExperiments(t *testing.T) {
 	// paperGainPct is the throughput gain each headline figure's
 	// PaperClaim states.
@@ -68,7 +127,8 @@ func TestGoldenDiffAllExperiments(t *testing.T) {
 			if err != nil {
 				t.Fatalf("second run: %v", err)
 			}
-			compare(t, "legacy run-to-run", first, second)
+			compare(t, "shards=0 run-to-run", first, second)
+			checkGolden(t, e.ID+".shards0.txt", goldenText(first))
 			if claim, ok := paperGainPct[e.ID]; ok {
 				if len(first.Rows) == 0 {
 					t.Fatalf("report has no rows to check against the paper's %+.0f%%", claim)
@@ -84,6 +144,15 @@ func TestGoldenDiffAllExperiments(t *testing.T) {
 			sharded, err := e.Run(shardedOpts)
 			if err != nil {
 				t.Fatalf("sharded run (shards=1): %v", err)
+			}
+			if e.ID == "observability" {
+				// The journal and the tracer need the one-lane partition,
+				// so this experiment runs at Shards = 0 whatever the
+				// options say: its report must not move, and its
+				// shards0 golden covers it.
+				compare(t, "shards=1 vs shards=0", first, sharded)
+			} else {
+				checkGolden(t, e.ID+".shards1.txt", goldenText(sharded))
 			}
 			for _, shards := range []int{2, runtime.NumCPU()} {
 				opts := goldenOpts()

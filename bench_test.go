@@ -269,12 +269,12 @@ func BenchmarkSimulatorThroughputObservability(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughputSharded runs a 400-node, 8-rack cluster
-// executing a 96-task pipeline under the legacy kernel (shards=0) and the
-// sharded conservative-parallel kernel (DESIGN.md §11) at 1 and 4
+// executing a 96-task pipeline with one lane spanning the cluster
+// (shards=0) and with one lane per rack (DESIGN.md §11) on 1 and 4
 // workers. tuples/s is the comparison metric; shards=1 measures the
-// sharded kernel's window and handoff overhead without any parallelism.
-// Results for shards>=1 are byte-identical at every worker count, so the
-// variants differ only in wall-clock.
+// per-rack partition's window and handoff overhead without any
+// parallelism. Results for shards>=1 are byte-identical at every worker
+// count, so those variants differ only in wall-clock.
 func BenchmarkSimulatorThroughputSharded(b *testing.B) {
 	c, err := cluster.TwoRack(8, 50, cluster.EmulabNodeSpec())
 	if err != nil {

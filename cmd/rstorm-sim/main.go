@@ -59,12 +59,12 @@
 // order and is byte-identical for any worker count. -matrix composes
 // with no other mode flag.
 //
-// -shards N selects the simulation kernel (DESIGN.md §11): 0 (the
-// default) runs the legacy single-threaded event loop; N >= 1 runs the
-// sharded conservative-parallel kernel, partitioning the cluster into
-// one lane per rack and advancing lanes on up to N workers in lookahead
-// windows. Sharded results are deterministic and identical for every
-// N >= 1 — the flag trades wall-clock time only, never output. It
+// -shards N chooses the event loop's lane partition (DESIGN.md §11): 0
+// (the default) runs one lane spanning the cluster on one worker, the
+// paper's model; N >= 1 runs one lane per rack, advanced in lookahead
+// windows on up to N workers, with cross-rack acks paying the inter-rack
+// latency. Results for N >= 1 are deterministic and identical for every
+// N — past 1 the flag trades wall-clock time only, never output. It
 // composes with every mode flag except the single-ordered-loop
 // observability paths: -trace and -journal require -shards 0.
 //
@@ -132,7 +132,7 @@ func run(w io.Writer, args []string) error {
 		journalOn   = fs.Bool("journal", false, "record control-plane decisions (faults, OOM kills, triggers, rebalances) and print them as JSONL")
 		matrixSpec  = fs.String("matrix", "", `run an experiment matrix across the worker pool, e.g. "failover,consolidate × seeds=1..16" (see the package comment for the grammar)`)
 		workers     = fs.Int("workers", 0, "worker goroutines for -matrix (0 = all CPUs)")
-		shards      = fs.Int("shards", 0, "simulation kernel: 0 = legacy single-threaded loop, N >= 1 = sharded conservative-parallel kernel on up to N workers (output identical for every N >= 1)")
+		shards      = fs.Int("shards", 0, "lane partition: 0 = one lane spanning the cluster, N >= 1 = one lane per rack on up to N workers (output identical for every N >= 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -24,7 +24,7 @@ type Options struct {
 	// MetricsWindow is the throughput bucket. Default 10s (the paper's
 	// reporting unit).
 	MetricsWindow time.Duration
-	// Seed drives the simulator RNG. Default 1.
+	// Seed seeds the simulator's spout key streams. Default 1.
 	Seed int64
 	// Percentiles turns on the simulator's latency histograms
 	// (simulator.Config.LatencyHistograms) in experiments that support
@@ -32,11 +32,11 @@ type Options struct {
 	// leaving it off keeps every report byte-identical to before the
 	// observability layer existed.
 	Percentiles bool
-	// Shards selects the simulator kernel (simulator.Config.Shards): 0
-	// runs the legacy single-threaded kernel; >= 1 runs the sharded
-	// conservative-parallel kernel on that many workers. Sharded results
-	// are identical for every Shards >= 1, so reports vary only between
-	// the two kernels, never across worker counts. Experiments that
+	// Shards chooses the simulator's lane partition
+	// (simulator.Config.Shards): 0 runs one lane spanning the cluster;
+	// >= 1 runs one lane per rack on that many workers. Results are
+	// identical for every Shards >= 1, so reports vary only between the
+	// two partitions, never across worker counts. Experiments that
 	// require the single-ordered-loop observability path (the journal)
 	// ignore it.
 	Shards int

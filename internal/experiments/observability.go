@@ -64,7 +64,7 @@ func runObservedChaos(o Options, observed bool) (*observedOutcome, error) {
 	}
 	// Options.Shards is deliberately not threaded here: this experiment
 	// attaches the decision journal and tuple tracer, which require the
-	// single-ordered-loop legacy kernel (simulator.Config.Shards == 0).
+	// one-lane partition (simulator.Config.Shards == 0).
 	cfg := simulator.Config{
 		Duration:      o.Duration,
 		MetricsWindow: failoverWindow,

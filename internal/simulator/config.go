@@ -59,7 +59,7 @@ type Config struct {
 	// measured throughput collapses toward zero, which is the paper's
 	// Fig. 13 Processing-topology behaviour. Zero disables timeouts.
 	TupleTimeout time.Duration
-	// Seed drives the deterministic RNG. Default 1.
+	// Seed seeds every spout's deterministic key stream. Default 1.
 	Seed int64
 	// WarmupWindows are dropped from mean-throughput summaries, matching
 	// the paper's convergence wait (§6.2). Default 1. Zero also means the
@@ -107,18 +107,17 @@ type Config struct {
 	// overwritten when it fills. Default trace.DefaultMaxSpans when
 	// tracing is enabled.
 	TraceMaxSpans int
-	// Shards selects the execution kernel (DESIGN.md §11). Zero (the
-	// default) runs the legacy single-threaded kernel, byte-identical to
-	// the pre-sharding simulator. Any value >= 1 runs the sharded
-	// conservative-parallel kernel — one event-loop lane per rack,
-	// advanced in inter-rack-latency lookahead windows — on min(Shards,
-	// racks) worker goroutines. The sharded kernel's results are
-	// byte-identical for every Shards value (the lane partition depends
-	// only on the cluster), but differ slightly from the legacy kernel's:
-	// cross-rack ack hand-offs pay the inter-rack latency, and spout keys
-	// come from per-task streams instead of one shared RNG. Incompatible
-	// with TraceSampleEvery and with an attached decision journal, which
-	// assume a single globally-ordered event loop.
+	// Shards chooses the lane partition of the event loop (DESIGN.md
+	// §11). Zero (the default) runs one lane spanning the cluster, on one
+	// worker: the paper's model, in which acks and completions never
+	// cross a lane. Any value >= 1 runs one lane per rack, advanced in
+	// inter-rack-latency lookahead windows on min(Shards, racks) worker
+	// goroutines; cross-rack ack and completion hand-offs then pay the
+	// inter-rack latency, so results differ slightly from Shards == 0.
+	// Results are byte-identical for every Shards >= 1 (the partition
+	// depends only on the cluster). Shards >= 1 is incompatible with
+	// TraceSampleEvery and with an attached decision journal, which assume
+	// a single globally-ordered event loop.
 	Shards int
 }
 

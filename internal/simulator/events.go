@@ -23,7 +23,6 @@ const (
 	evArrive                   // tuple reaches dest's input queue after latency
 	evLinkDone                 // link finished serializing its head transfer
 	evComplete                 // fire an acceptance completion
-	evWindowFlush              // metrics-window boundary: feed the observer
 	evOOMCheck                 // memory-model boundary: enforce the hard axis
 	evSpoutReplay              // replay backoff expired: queue a re-emission
 	evTreeAck                  // cross-lane tuple-tree delta landing at home
@@ -106,9 +105,6 @@ func (e *simEvent) Fire() {
 		comp := e.comp
 		ln.freeEvent(e)
 		ln.complete(comp)
-	case evWindowFlush:
-		ln.freeEvent(e)
-		ln.sim.windowFlush()
 	case evOOMCheck:
 		ln.freeEvent(e)
 		ln.oomCheck()
@@ -154,8 +150,8 @@ func (ln *simLane) scheduleTask(delay time.Duration, kind uint8, t *simTask) {
 // completion's home lane. A cross-lane completion is the back-channel of a
 // tuple hand-off — the "ack" returning a link window slot or advancing the
 // emitter's delivery sequence — so it pays the return network hop: one
-// lookahead on top of delay. Same-lane completions (always, in legacy
-// mode) fire locally with no added latency.
+// lookahead on top of delay. Same-lane completions (always, with one lane)
+// fire locally with no added latency.
 //
 //rstorm:hotpath
 func (ln *simLane) scheduleComplete(delay time.Duration, comp completion) {

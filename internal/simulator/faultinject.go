@@ -86,8 +86,8 @@ func (e *faultEvent) Fire() { e.ln.applyFault(e.f) }
 // applyFault dispatches one fault event inside the faulted node's lane.
 // Redundant events (crash of a dead node, recover of a healthy one) are
 // ignored rather than logged, so the fault log records state transitions
-// only. Sharded lanes buffer their records (mergeLaneFaults folds them
-// into the shared log at barriers); the legacy lane appends directly.
+// only. Lanes buffer their records; mergeLaneFaults folds them into the
+// shared log at barriers.
 func (ln *simLane) applyFault(f faults.Fault) {
 	s := ln.sim
 	n := s.nodes[f.Node]
@@ -114,11 +114,7 @@ func (ln *simLane) applyFault(f faults.Fault) {
 		return
 	}
 	fr := FaultRecord{Kind: f.Kind, Node: f.Node, At: ln.eng.Now()}
-	if s.sharded {
-		ln.faultBuf = append(ln.faultBuf, fr)
-	} else {
-		s.faultLog = append(s.faultLog, fr)
-	}
+	ln.faultBuf = append(ln.faultBuf, fr)
 	s.journalRecord(trace.CodeFaultInjected, "", string(f.Node), -1, fr.String())
 }
 

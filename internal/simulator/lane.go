@@ -8,12 +8,11 @@ import (
 )
 
 // A simLane is one independently advancing event loop over a fixed subset
-// of the cluster's nodes (DESIGN.md §11). The sharded kernel runs one lane
-// per rack: the rack uplink latency is the minimum time any tuple needs to
-// cross between racks, which is exactly the conservative lookahead bound
-// the windowed loop (sharded.go) advances under. The legacy kernel is the
-// degenerate case — a single lane holding every node, driven inclusively
-// by RunUntil instead of windows.
+// of the cluster's nodes (DESIGN.md §11). Config.Shards == 0 runs one lane
+// holding every node. Shards >= 1 runs one lane per rack: the rack uplink
+// latency is the minimum time any tuple needs to cross between racks,
+// which is exactly the conservative lookahead bound the window loop
+// (sharded.go) advances under.
 //
 // Everything a lane mutates on the hot path lives on the lane (event,
 // tuple and tree free lists, drop/replay counters) or on objects the lane
@@ -35,17 +34,16 @@ type simLane struct {
 	out []pardes.Ring[laneMsg]
 
 	// Per-lane slices of the simulation-wide counters, summed at
-	// buildResult. Integer sums commute, so splitting them per lane leaves
-	// the legacy single-lane totals bit-identical.
+	// buildResult. Integer sums commute, so the totals do not depend on
+	// how the counts split between lanes.
 	dropped   int64
 	migrated  int64
 	oomKilled int64
 	replayed  int64
 	lostTrees int64
 
-	// faultBuf collects fault records applied by this lane during sharded
-	// windows; merged into Simulation.faultLog by (time, lane) at barriers.
-	// Legacy mode appends to the shared log directly.
+	// faultBuf collects fault records applied by this lane during a
+	// window; merged into Simulation.faultLog by (time, lane) at barriers.
 	faultBuf []FaultRecord
 
 	// Free lists (see events.go). LIFO stacks touched only by this lane.
@@ -100,14 +98,14 @@ func (ln *simLane) compHome(comp completion) *simLane {
 
 // ackTree applies a tuple-tree delta — instances added by a fan-out, or
 // one removed by a completion or failure — on the tree's home lane (its
-// spout's). Same-lane deltas apply inline, which is exactly the
-// pre-sharding arithmetic, so the legacy single-lane kernel is unchanged.
-// Cross-lane deltas ride the outbox and land a lookahead later, modeling
-// the ack message's own network hop; the home lane is the only writer of
-// pending/failed, so tree state needs no locks. The delayed delta cannot
-// complete a tree early: a descendant's removal is always observed after
-// the fan-out that created it, because the child tuple itself crossed the
-// same racks with at least the same latency plus a positive service time.
+// spout's). Same-lane deltas apply inline; with one lane every delta
+// does. Cross-lane deltas ride the outbox and land a lookahead later,
+// modeling the ack message's own network hop; the home lane is the only
+// writer of pending/failed, so tree state needs no locks. The delayed
+// delta cannot complete a tree early: a descendant's removal is always
+// observed after the fan-out that created it, because the child tuple
+// itself crossed the same racks with at least the same latency plus a
+// positive service time.
 //
 //rstorm:hotpath
 func (ln *simLane) ackTree(tr *tree, delta int, failed bool) {
@@ -207,7 +205,8 @@ func (s *Simulation) mergeLaneFaults() {
 // lane index order, each lane's in (time, sequence) order), then
 // rescheduled at their original timestamps in collection order: fresh
 // sequence numbers preserve relative order within a lane, and the
-// collection order breaks cross-lane ties deterministically.
+// collection order breaks cross-lane ties deterministically. With one
+// lane this reschedules the queue in its own order.
 func (s *Simulation) rehomeEvents() {
 	type lanePending struct {
 		src *simLane
@@ -251,7 +250,7 @@ func (s *Simulation) eventHome(pe des.PendingEvent, src *simLane) *simLane {
 			return sp.node.lane
 		}
 		return src
-	default: // evWindowFlush (legacy only), evOOMCheck
+	default: // evOOMCheck
 		return src
 	}
 }
@@ -259,8 +258,8 @@ func (s *Simulation) eventHome(pe des.PendingEvent, src *simLane) *simLane {
 // taskSeed derives a per-task splitmix64 stream state from the run seed,
 // the topology name, and the task ID. The derivation depends only on
 // stable identifiers — never on placement, rack, or shard count — so a
-// sharded run's key streams survive Reassign and are identical for every
-// Shards value.
+// run's key streams survive Reassign and are identical for every worker
+// count.
 func taskSeed(seed int64, topo string, id int) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -279,8 +278,8 @@ func taskSeed(seed int64, topo string, id int) uint64 {
 }
 
 // nextKey draws the task's next spout key from its private splitmix64
-// stream — the sharded kernel's replacement for the simulation-wide
-// *rand.Rand, whose draw order would depend on lane interleaving.
+// stream. A simulation-wide RNG's draw order would depend on how the
+// lanes interleave.
 //
 //rstorm:hotpath
 func (t *simTask) nextKey() uint64 {

@@ -60,8 +60,8 @@ func (s *Simulation) nodeResidentMemMB(n *simNode) float64 {
 
 // oomCheck enforces the memory hard axis on the lane's live nodes, then
 // schedules the lane's next check. Each lane polices only its own nodes
-// (the legacy single lane holds the whole cluster, preserving the old
-// all-nodes sweep order). Nodes are visited in cluster declaration order
+// (a single lane holds the whole cluster and sweeps every node). Nodes
+// are visited in cluster declaration order
 // and kills pick the strictly-largest resident (first in hosting order on
 // ties), so enforcement is deterministic for a fixed seed.
 func (ln *simLane) oomCheck() {

@@ -145,19 +145,6 @@ func (s *Simulation) SetObserver(o Observer) error {
 	return nil
 }
 
-// windowFlush materializes every task's window counters into the reusable
-// sample buffer, hands them to the observer, resets the counters, and
-// schedules the next flush. Legacy-kernel only: the sharded kernel flushes
-// at merge barriers (sharded.go), never from inside a lane's event loop,
-// because flushWindow reads task state across every lane.
-func (s *Simulation) windowFlush() {
-	now := s.now()
-	s.flushWindow(now)
-	if next := now + s.cfg.MetricsWindow; next <= s.cfg.Duration {
-		s.lanes[0].scheduleTask(s.cfg.MetricsWindow, evWindowFlush, nil)
-	}
-}
-
 // flushPartialWindow delivers the counters accumulated since the last
 // flush, if any — the tail window Finish must not silently drop when the
 // duration is not a multiple of the metrics window, and the pre-migration

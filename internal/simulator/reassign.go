@@ -130,11 +130,9 @@ func (s *Simulation) Reassign(topoName string, a *core.Assignment) (int, error) 
 		}
 	}
 	s.buildRouters(run)
-	if s.sharded {
-		// Pending events homed by a moved task must follow it to its new
-		// lane before the next window, or two lanes would mutate it.
-		s.rehomeEvents()
-	}
+	// Pending events homed by a moved task must follow it to its new lane
+	// before the next window, or two lanes would mutate it.
+	s.rehomeEvents()
 	return len(moving), nil
 }
 
@@ -265,9 +263,7 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 	// may still be dead; dead nodes must not refreeze.
 	s.refreeze(affected)
 	s.buildRouters(run)
-	if s.sharded {
-		s.rehomeEvents()
-	}
+	s.rehomeEvents()
 	for _, st := range restarting {
 		if st.isSpout == 1 {
 			st.node.lane.scheduleTask(0, evSpoutCycle, st)

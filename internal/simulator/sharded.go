@@ -2,13 +2,14 @@ package simulator
 
 import "time"
 
-// runWindows drives the sharded kernel from the global clock to target,
-// alternating conservative lookahead windows with merge barriers. Each
-// iteration: drain the cross-lane inboxes into the destination engines,
-// pick the largest horizon h no lane can be affected across (at most
-// clock+lookahead, clamped to the next metrics flush and to target), let
-// the coordinator advance every lane through [clock, h), then land the
-// flush if h hit it.
+// runWindows is the simulation's one event loop: it drives every lane
+// from the global clock to target, alternating conservative lookahead
+// windows with merge barriers. Each iteration: drain the cross-lane
+// inboxes into the destination engines, pick the largest horizon h no
+// lane can be affected across (at most clock+lookahead, clamped to the
+// next metrics flush and to target), let the coordinator advance every
+// lane through [clock, h), then land the flush if h hit it. With one lane
+// each window runs straight to the next flush or target.
 //
 // The lookahead bound is the inter-rack path latency: an event firing at
 // time τ inside the window can push a cross-lane message no earlier than

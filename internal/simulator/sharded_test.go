@@ -282,8 +282,9 @@ func TestShardedRejectsIncompatibleObservability(t *testing.T) {
 }
 
 // TestShardedSingleRackCollapses: a one-rack cluster leaves no cross-lane
-// cut, so the sharded kernel must collapse to one lane and still agree
-// with itself at every worker count.
+// cut, so every Shards value — 0 included — must build the same single
+// lane and produce the same Result. Shards == 0 is not a second kernel,
+// only the one-lane partition.
 func TestShardedSingleRackCollapses(t *testing.T) {
 	c, err := cluster.TwoRack(1, 6, cluster.EmulabNodeSpec())
 	if err != nil {
@@ -300,7 +301,7 @@ func TestShardedSingleRackCollapses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		if shards > 0 && len(sim.lanes) != 1 {
+		if len(sim.lanes) != 1 {
 			t.Fatalf("single-rack cluster built %d lanes, want 1", len(sim.lanes))
 		}
 		if err := sim.AddTopology(topo, spreadAssignment(topo, c)); err != nil {
@@ -313,7 +314,7 @@ func TestShardedSingleRackCollapses(t *testing.T) {
 		return res
 	}
 	base := run(1)
-	for _, shards := range []int{2, 8} {
+	for _, shards := range []int{0, 2, 8} {
 		if res := run(shards); !reflect.DeepEqual(base, res) {
 			t.Errorf("shards=%d single-rack Result differs from shards=1", shards)
 		}

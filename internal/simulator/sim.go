@@ -2,7 +2,6 @@ package simulator
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"rstorm/internal/cluster"
@@ -94,10 +93,9 @@ type simTask struct {
 	isSpout  int // 1 if spout (int for alignment clarity; 0 otherwise)
 	inFlight int
 	parked   bool // waiting for a max-pending credit
-	// rngState is the spout's private splitmix64 key stream, used by the
-	// sharded kernel in place of the simulation-wide RNG (lane.go). Seeded
-	// from (seed, topology, task ID) only, so it is placement- and
-	// shard-count-independent. Unused by the legacy kernel.
+	// rngState is the spout's private splitmix64 key stream (lane.go).
+	// Seeded from (seed, topology, task ID) only, so it is independent of
+	// placement, of the lane partition and of the worker count.
 	rngState uint64
 	// replayQ holds failed tuple trees awaiting re-emission (at-least-once
 	// replay, faultinject.go). Each entry's max-pending credit is still
@@ -205,19 +203,19 @@ type topoRun struct {
 // epochs: Start, then RunTo as many times as needed — with Reassign calls
 // between epochs migrating tasks — then Finish.
 //
-// Two kernels share this type (DESIGN.md §11). With Config.Shards == 0 the
-// legacy single-threaded kernel runs: one lane holds every node and one
-// engine drives the whole cluster, byte-identical to the pre-sharding
-// simulator. With Shards >= 1 the sharded kernel runs: one lane per rack,
-// advanced in conservative lookahead windows by a pardes.Coordinator over
-// Shards workers. The sharded kernel's refinements (cross-rack ack delay,
-// per-spout key streams) make it a slightly different — equally valid —
-// model than the legacy kernel, but its results are byte-identical across
-// every Shards value, which is what makes the parallelism trustworthy.
+// One event loop drives every run (DESIGN.md §11): lanes, each an event
+// engine over a fixed subset of the nodes, advanced by a
+// pardes.Coordinator in conservative lookahead windows, with metrics
+// flushes and cross-lane merges at the barriers between windows.
+// Config.Shards chooses only the lane partition. Shards == 0 is one lane
+// spanning the cluster, on one worker — the paper's model, in which acks
+// and completions never cross a lane. Shards >= 1 is one lane per rack
+// on min(Shards, racks) workers; cross-rack acks and completions then pay
+// the inter-rack latency, and results are byte-identical for every
+// Shards >= 1, which is what makes the parallelism trustworthy.
 type Simulation struct {
 	cfg      Config
 	cluster  *cluster.Cluster
-	rng      *rand.Rand
 	nodes    map[cluster.NodeID]*simNode
 	order    []cluster.NodeID
 	uplinks  map[cluster.RackID]*link
@@ -227,12 +225,9 @@ type Simulation struct {
 	started  bool
 	finished bool
 
-	// Kernel state. lanes is never empty: the legacy kernel is one lane
-	// spanning the cluster. lookahead is the inter-rack path latency — the
-	// conservative window bound. clock / nextFlush drive the sharded
-	// window loop (sharded.go); coord exists only while sharded and
-	// started.
-	sharded   bool
+	// Kernel state. lanes is never empty. lookahead is the inter-rack
+	// path latency — the conservative window bound. clock / nextFlush
+	// drive the window loop (sharded.go); coord exists from Start on.
 	lanes     []*simLane
 	coord     *pardes.Coordinator
 	lookahead time.Duration
@@ -249,7 +244,7 @@ type Simulation struct {
 
 	// Observability attach points (trace.go). tracer exists iff
 	// Config.TraceSampleEvery > 0; journal is attached via SetJournal.
-	// Both require the legacy kernel (rejected otherwise).
+	// Both require the one-lane partition (rejected otherwise).
 	tracer  *trace.Tracer
 	journal *trace.Journal
 }
@@ -263,7 +258,6 @@ func New(c *cluster.Cluster, cfg Config) (*Simulation, error) {
 	s := &Simulation{
 		cfg:     cfg,
 		cluster: c,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		nodes:   make(map[cluster.NodeID]*simNode, c.Size()),
 		order:   c.NodeIDs(),
 		uplinks: make(map[cluster.RackID]*link, len(c.Racks())),
@@ -284,18 +278,17 @@ func New(c *cluster.Cluster, cfg Config) (*Simulation, error) {
 			c.Network().InterRackMbps, cfg.NICQueueCapacity*4, cfg.NICWindow*4)
 	}
 
-	// Lane partition. The sharded kernel slices the cluster one lane per
-	// rack — the partition depends only on the cluster, never on Shards,
-	// so results are identical for every worker count. A single-rack
-	// cluster (or a degenerate zero inter-rack latency, which would leave
-	// no conservative lookahead) collapses to one lane: still the sharded
-	// kernel's semantics, just with no parallelism to extract.
-	s.sharded = cfg.Shards > 0
+	// Lane partition. Shards == 0 keeps the cluster in one lane. Shards
+	// >= 1 slices it one lane per rack — the partition depends only on the
+	// cluster, never on the worker count, so results are identical for
+	// every Shards >= 1. A single-rack cluster (or a degenerate zero
+	// inter-rack latency, which would leave no conservative lookahead)
+	// collapses to one lane, which is the Shards == 0 partition.
 	s.lookahead = c.Network().Latency(cluster.PathInterRack)
 	racks := c.Racks()
 	laneCount := 1
 	var rackLane map[cluster.RackID]int
-	if s.sharded && s.lookahead > 0 && len(racks) > 1 {
+	if cfg.Shards > 0 && s.lookahead > 0 && len(racks) > 1 {
 		laneCount = len(racks)
 		rackLane = make(map[cluster.RackID]int, laneCount)
 		for i, r := range racks {
@@ -331,7 +324,6 @@ func New(c *cluster.Cluster, cfg Config) (*Simulation, error) {
 func (s *Simulation) Config() Config { return s.cfg }
 
 // now returns the current virtual time. Lane 0's clock is authoritative:
-// in the legacy kernel it is the only engine, and in the sharded kernel
 // every public entry point runs at a barrier, where all lanes agree.
 func (s *Simulation) now() time.Duration { return s.lanes[0].eng.Now() }
 
@@ -510,43 +502,36 @@ func (s *Simulation) Start() error {
 	}
 	// Latency histograms ride the same flush cadence as the observer:
 	// window boundaries close each topology's per-window percentile
-	// sample whether or not anyone taps the samples. The legacy kernel
-	// flushes via an in-loop event; the sharded kernel flushes at merge
-	// barriers (sharded.go), where every lane is quiescent and cross-lane
-	// task state is safe to read.
+	// sample whether or not anyone taps the samples. Flushes happen at
+	// barriers (sharded.go), where every lane is quiescent and task state
+	// is safe to read across lanes. A flush at time T materializes
+	// [lastFlush, T): it runs before any event at exactly T.
 	if (s.observer != nil || s.cfg.LatencyHistograms) && s.cfg.MetricsWindow <= s.cfg.Duration {
-		if s.sharded {
-			s.nextFlush = s.cfg.MetricsWindow
-		} else {
-			s.lanes[0].scheduleTask(s.cfg.MetricsWindow, evWindowFlush, nil)
-		}
+		s.nextFlush = s.cfg.MetricsWindow
 	}
 	// OOM enforcement shares the window cadence but not the observer: the
 	// memory hard axis is enforced whether or not anyone is watching. The
-	// check is scheduled after the flush, so at a shared boundary the
-	// observer samples the over-capacity window before the kill happens.
-	// Each lane enforces its own nodes.
+	// check is an event at the boundary, so it fires after the barrier's
+	// flush: the observer samples the over-capacity window before the
+	// kill happens. Each lane enforces its own nodes.
 	if s.cfg.MemoryModel && s.cfg.MetricsWindow <= s.cfg.Duration {
 		for _, ln := range s.lanes {
 			ln.scheduleTask(s.cfg.MetricsWindow, evOOMCheck, nil)
 		}
 	}
-	if s.sharded {
-		ifaces := make([]pardes.Lane, len(s.lanes))
-		for i, ln := range s.lanes {
-			ifaces[i] = ln.eng
-		}
-		s.coord = pardes.NewCoordinator(ifaces, s.cfg.Shards)
+	ifaces := make([]pardes.Lane, len(s.lanes))
+	for i, ln := range s.lanes {
+		ifaces[i] = ln.eng
 	}
+	s.coord = pardes.NewCoordinator(ifaces, s.cfg.Shards)
 	return nil
 }
 
 // RunTo advances virtual time to t (clamped to the configured duration).
 // It is the epoch boundary of the adaptive control loop: between RunTo
-// calls the simulation is paused and Reassign may migrate tasks. The
-// sharded kernel advances in half-open windows, so events at exactly t
-// stay pending until the next epoch (or Finish); the legacy kernel keeps
-// its historical inclusive semantics.
+// calls the simulation is paused and Reassign may migrate tasks. Windows
+// are half-open, so events at exactly t stay pending until the next epoch
+// (or Finish).
 func (s *Simulation) RunTo(t time.Duration) error {
 	if !s.started {
 		return fmt.Errorf("simulation not started")
@@ -557,11 +542,7 @@ func (s *Simulation) RunTo(t time.Duration) error {
 	if t > s.cfg.Duration {
 		t = s.cfg.Duration
 	}
-	if s.sharded {
-		s.runWindows(t)
-	} else {
-		s.lanes[0].eng.RunUntil(t)
-	}
+	s.runWindows(t)
 	return nil
 }
 
@@ -574,21 +555,17 @@ func (s *Simulation) Finish() (*Result, error) {
 	if s.finished {
 		return nil, fmt.Errorf("simulation already finished")
 	}
-	if s.sharded {
-		s.runWindows(s.cfg.Duration)
-		// Events at exactly Duration are still pending (half-open
-		// windows). Run them serially, lane by lane: any cross-lane
-		// message they emit lands at or beyond Duration+lookahead — past
-		// the end of simulated time for every lane — so leaving the
-		// inboxes undrained afterwards is uniform and order-independent.
-		for _, ln := range s.lanes {
-			ln.eng.RunUntil(s.cfg.Duration)
-		}
-		s.mergeLaneFaults()
-		s.coord.Stop()
-	} else {
-		s.lanes[0].eng.RunUntil(s.cfg.Duration)
+	s.runWindows(s.cfg.Duration)
+	// Events at exactly Duration are still pending (half-open windows).
+	// Run them serially, lane by lane: any cross-lane message they emit
+	// lands at or beyond Duration+lookahead — past the end of simulated
+	// time for every lane — so leaving the inboxes undrained afterwards is
+	// uniform and order-independent.
+	for _, ln := range s.lanes {
+		ln.eng.RunUntil(s.cfg.Duration)
 	}
+	s.mergeLaneFaults()
+	s.coord.Stop()
 	// Deliver the trailing partial window: when Duration is not a multiple
 	// of MetricsWindow the tail counters never see a scheduled flush, and
 	// the adaptive profiler would silently miss the final samples.
@@ -668,23 +645,19 @@ func (ln *simLane) spoutFire(t *simTask) {
 	t.handled++
 	now := ln.eng.Now()
 	// A queued replay re-emits a failed tree's key on its held credit;
-	// otherwise a fresh root tuple draws a new key (and a new credit). The
-	// sharded kernel draws from the spout's private key stream — a shared
-	// RNG would be consumed in lane-interleaving order; the legacy kernel
-	// keeps the historical shared-RNG draw order bit-for-bit.
+	// otherwise a fresh root tuple draws a new key (and a new credit) from
+	// the spout's private key stream: lanes run concurrently, so a shared
+	// RNG's draw order would depend on how the workers interleave.
 	var key uint64
 	attempt := 0
 	replaying := len(t.replayQ) > 0
-	switch {
-	case replaying:
+	if replaying {
 		re := t.replayQ[0]
 		t.replayQ = t.replayQ[:copy(t.replayQ, t.replayQ[1:])]
 		key, attempt = re.key, re.attempt
 		ln.replayed++
-	case s.sharded:
+	} else {
 		key = t.nextKey() % uint64(t.comp.Profile.KeyCardinality)
-	default:
-		key = s.rng.Uint64() % uint64(t.comp.Profile.KeyCardinality)
 	}
 	tr := ln.newTree(t)
 	tr.key = key

@@ -194,11 +194,9 @@ func (s *Simulation) revive(run *topoRun, a *core.Assignment) error {
 	run.assignment = a
 	s.refreeze(affected)
 	s.buildRouters(run)
-	if s.sharded {
-		// Stale events homed by revived tasks (replay backoffs, in-flight
-		// arrivals) must follow them to their new lanes.
-		s.rehomeEvents()
-	}
+	// Stale events homed by revived tasks (replay backoffs, in-flight
+	// arrivals) must follow them to their new lanes.
+	s.rehomeEvents()
 	for _, st := range run.ordered {
 		if st.isSpout == 1 {
 			st.node.lane.scheduleTask(0, evSpoutCycle, st)

@@ -34,8 +34,7 @@ func (s *Simulation) Tracer() *trace.Tracer { return s.tracer }
 // LatencySummaries returns each topology's cumulative complete-tree
 // latency summary, keyed by name — the /latency route's payload. Nil
 // when Config.LatencyHistograms is off. Call it between RunTo epochs or
-// after Run; the simulator is single-threaded, so reading mid-event-loop
-// from another goroutine is not safe.
+// after Run; reading mid-event-loop from another goroutine is not safe.
 func (s *Simulation) LatencySummaries() map[string]trace.Summary {
 	if !s.cfg.LatencyHistograms {
 		return nil

@@ -101,11 +101,18 @@ func (ln *simLane) compHome(comp completion) *simLane {
 // spout's). Same-lane deltas apply inline; with one lane every delta
 // does. Cross-lane deltas ride the outbox and land a lookahead later,
 // modeling the ack message's own network hop; the home lane is the only
-// writer of pending/failed, so tree state needs no locks. The delayed
-// delta cannot complete a tree early: a descendant's removal is always
-// observed after the fan-out that created it, because the child tuple
-// itself crossed the same racks with at least the same latency plus a
-// positive service time.
+// writer of pending/failed, so tree state needs no locks.
+//
+// While placements are fixed, a delayed delta cannot complete a tree
+// early: a descendant's removal is observed after the fan-out that
+// created it, because the child tuple itself crossed the same racks with
+// at least the same latency plus a positive service time. A Reassign
+// breaks that argument — it can put a child's consumer, or the tree's
+// spout, on the home lane while the parent's delta is still in flight,
+// so the child's removal would apply first and free a live tree. A
+// placement change therefore folds every pending delta into its tree at
+// the barrier, before any event runs under the new placement and before
+// the moved tasks' queues drain (rehomeEvents, drainMoved).
 //
 //rstorm:hotpath
 func (ln *simLane) ackTree(tr *tree, delta int, failed bool) {
@@ -207,6 +214,12 @@ func (s *Simulation) mergeLaneFaults() {
 // sequence numbers preserve relative order within a lane, and the
 // collection order breaks cross-lane ties deterministically. With one
 // lane this reschedules the queue in its own order.
+//
+// Pending tuple-tree deltas are not rescheduled but applied here, at the
+// barrier: the lanes are quiescent, so the fold sees every delta sent
+// before the move, and no delta can arrive after a removal the move made
+// local (see ackTree). A tree the fold completes wakes its spout on the
+// spout's current lane.
 func (s *Simulation) rehomeEvents() {
 	type lanePending struct {
 		src *simLane
@@ -220,6 +233,12 @@ func (s *Simulation) rehomeEvents() {
 		for _, pe := range lp.evs {
 			home := s.eventHome(pe, lp.src)
 			if se, ok := pe.Ev.(*simEvent); ok {
+				if se.kind == evTreeAck {
+					tr, delta, failed := se.tree, int(se.delta), se.failed
+					home.freeEvent(se)
+					home.applyAck(tr, delta, failed)
+					continue
+				}
 				se.ln = home
 			}
 			home.eng.ScheduleEventAt(pe.At, pe.Ev)

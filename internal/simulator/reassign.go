@@ -90,50 +90,66 @@ func (s *Simulation) Reassign(topoName string, a *core.Assignment) (int, error) 
 	s.flushPartialWindow()
 
 	affected := make(map[*simNode]bool, 2*len(moving))
-	for _, st := range moving {
-		old := st.node
-		oldLane := old.lane
-		next := s.nodes[a.Placements[st.task.ID].Node]
-		// Drain the input queue: the worker restarts empty on the new node.
-		// The drain runs on the departing lane — the failed trees and
-		// released producers belong to the placement the tuples ran under.
-		tuples, unblocked := st.queue.drain()
-		for _, tup := range tuples {
-			oldLane.migrateTuple(tup)
-		}
-		for _, comp := range unblocked {
-			oldLane.scheduleComplete(0, comp)
-		}
-		// Migration is a restart: the in-memory working set does not
-		// travel with the task, so the memory model's state-growth ramp
-		// re-warms from zero on the new node (inert with the model off —
-		// handled feeds nothing else).
-		st.handled = 0
-		// Credit the busy time accrued here to the node it ran on, so
-		// end-of-run utilization is attributed per host.
-		delta := st.tracker.Busy() - st.creditedBusy
-		old.departedWeighted += float64(delta) * st.comp.EffectiveCPUPoints()
-		st.creditedBusy = st.tracker.Busy()
-		removeTask(old, st)
-		next.tasks = append(next.tasks, st)
-		next.everHosted = true
-		st.node = next
-		st.placement = a.Placements[st.task.ID]
-		affected[old] = true
-		affected[next] = true
+	departed := make([]*simLane, len(moving))
+	for i, st := range moving {
+		departed[i] = s.moveTask(st, a.Placements[st.task.ID], affected)
 	}
 	// Refreeze contention on every node whose task set changed, then
 	// re-resolve the run's delivery edges for the new placements.
-	for _, id := range s.order {
-		if n := s.nodes[id]; affected[n] {
-			s.freezeNode(n)
-		}
-	}
+	s.refreeze(affected)
 	s.buildRouters(run)
 	// Pending events homed by a moved task must follow it to its new lane
 	// before the next window, or two lanes would mutate it.
 	s.rehomeEvents()
+	s.drainMoved(moving, departed)
 	return len(moving), nil
+}
+
+// moveTask re-places a task on p's node: the task set of both nodes
+// changes (marked in affected for refreezing) and the busy time accrued
+// on the old node is credited to it. It returns the lane the task left.
+// The caller drains the task's queue (drainMoved) or, for a dead task,
+// restarts it.
+func (s *Simulation) moveTask(st *simTask, p core.Placement, affected map[*simNode]bool) *simLane {
+	old, next := st.node, s.nodes[p.Node]
+	// Migration is a restart: the in-memory working set does not travel
+	// with the task, so the memory model's state-growth ramp re-warms from
+	// zero on the new node (inert with the model off — handled feeds
+	// nothing else).
+	st.handled = 0
+	// Credit the busy time accrued here to the node it ran on, so
+	// end-of-run utilization is attributed per host.
+	delta := st.tracker.Busy() - st.creditedBusy
+	old.departedWeighted += float64(delta) * st.comp.EffectiveCPUPoints()
+	st.creditedBusy = st.tracker.Busy()
+	removeTask(old, st)
+	next.tasks = append(next.tasks, st)
+	next.everHosted = true
+	st.node = next
+	st.placement = p
+	affected[old] = true
+	affected[next] = true
+	return old.lane
+}
+
+// drainMoved empties the input queues of tasks that just moved: the
+// worker restarts empty on its new node. Each drain runs on the lane the
+// task departed — the failed trees and released producers belong to the
+// placement the tuples ran under — but only after every task has moved
+// and rehomeEvents has folded the in-flight tree deltas. The failures'
+// deltas and the producers' completions then route to the lanes their
+// spouts and producers run on now, and no removal can overtake a pending
+// fan-out.
+func (s *Simulation) drainMoved(moving []*simTask, departed []*simLane) {
+	for i, st := range moving {
+		tuples, unblocked := st.queue.drain()
+		for _, tup := range tuples {
+			departed[i].migrateTuple(tup)
+		}
+		for _, comp := range unblocked {
+			departed[i].scheduleComplete(0, comp)
+		}
+	}
 }
 
 // ReassignRestarting is Reassign plus executor restarts: tasks in the
@@ -212,58 +228,28 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 
 	s.flushPartialWindow()
 	affected := make(map[*simNode]bool, 2*(len(moving)+len(restarting)))
-	for _, st := range moving {
-		old := st.node
-		oldLane := old.lane
-		next := s.nodes[a.Placements[st.task.ID].Node]
-		tuples, unblocked := st.queue.drain()
-		for _, tup := range tuples {
-			oldLane.migrateTuple(tup)
-		}
-		for _, comp := range unblocked {
-			oldLane.scheduleComplete(0, comp)
-		}
-		st.handled = 0
-		delta := st.tracker.Busy() - st.creditedBusy
-		old.departedWeighted += float64(delta) * st.comp.EffectiveCPUPoints()
-		st.creditedBusy = st.tracker.Busy()
-		removeTask(old, st)
-		next.tasks = append(next.tasks, st)
-		next.everHosted = true
-		st.node = next
-		st.placement = a.Placements[st.task.ID]
-		affected[old] = true
-		affected[next] = true
+	departed := make([]*simLane, len(moving))
+	for i, st := range moving {
+		departed[i] = s.moveTask(st, a.Placements[st.task.ID], affected)
 	}
 	for _, st := range restarting {
-		old := st.node
-		next := s.nodes[a.Placements[st.task.ID].Node]
-		// The queue was drained when the node crashed; credit the busy
-		// time the executor accrued on its old (possibly still-dead) host
-		// so end-of-run utilization attribution stays per-host-honest.
-		delta := st.tracker.Busy() - st.creditedBusy
-		old.departedWeighted += float64(delta) * st.comp.EffectiveCPUPoints()
-		st.creditedBusy = st.tracker.Busy()
-		st.handled = 0
-		removeTask(old, st)
-		next.tasks = append(next.tasks, st)
-		next.everHosted = true
-		st.node = next
-		st.placement = a.Placements[st.task.ID]
+		// The queue was drained when the node crashed; the old host
+		// (possibly still dead) keeps the busy time the executor accrued
+		// there.
+		s.moveTask(st, a.Placements[st.task.ID], affected)
 		st.dead = false
 		st.busy = false
 		st.parked = false
 		// outBuf/outIdx stay, as in revive: a stale delivery sequence from
 		// before the crash finishes deterministically; new emissions reset
 		// the cursor themselves.
-		affected[old] = true
-		affected[next] = true
 	}
 	// refreeze (not the inline loop) because a restarting task's old node
 	// may still be dead; dead nodes must not refreeze.
 	s.refreeze(affected)
 	s.buildRouters(run)
 	s.rehomeEvents()
+	s.drainMoved(moving, departed)
 	for _, st := range restarting {
 		if st.isSpout == 1 {
 			st.node.lane.scheduleTask(0, evSpoutCycle, st)

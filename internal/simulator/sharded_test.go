@@ -1,6 +1,8 @@
 package simulator
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -318,5 +320,117 @@ func TestShardedSingleRackCollapses(t *testing.T) {
 		if res := run(shards); !reflect.DeepEqual(base, res) {
 			t.Errorf("shards=%d single-rack Result differs from shards=1", shards)
 		}
+	}
+}
+
+// TestShardedCrossRackMovesKeepTreesLive moves spouts and bolts across
+// racks between short epochs while tuple-tree acks are in flight between
+// lanes. A move can put a tree's home spout, or a child's consumer, on
+// the lane the tree's pending count lives on while the parent's
+// cross-lane delta is still queued; unless the barrier folds those
+// deltas in before anything runs, the child's removal applies first, the
+// tree completes early and is freed, and the late delta lands on a
+// recycled tree. Declaring the bolts before the spout also makes a moved
+// bolt's queue drain before its spout has moved, unless the drain waits
+// for every move; its failed trees then complete on the spout's old lane.
+// The symptom either way is a Result that depends on the worker count
+// and, under -race, two lanes writing the same tree or spout.
+func TestShardedCrossRackMovesKeepTreesLive(t *testing.T) {
+	c, err := cluster.TwoRack(4, 6, cluster.EmulabNodeSpec())
+	if err != nil {
+		t.Fatalf("TwoRack: %v", err)
+	}
+	p := topology.ExecProfile{CPUPerTuple: 100 * time.Microsecond, TupleBytes: 256}
+	build := func(boltsFirst bool) *topology.Topology {
+		b := topology.NewBuilder("movers")
+		spout := func() { b.SetSpout("s", 8).SetCPULoad(10).SetMemoryLoad(256).SetProfile(p) }
+		if !boltsFirst {
+			spout()
+		}
+		b.SetBolt("m", 8).ShuffleGrouping("s").SetCPULoad(10).SetMemoryLoad(256).SetProfile(p)
+		b.SetBolt("z", 8).ShuffleGrouping("m").SetCPULoad(10).SetMemoryLoad(256).SetProfile(p)
+		if boltsFirst {
+			spout()
+		}
+		topo, err := b.Build()
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		return topo
+	}
+	const seed = 3
+	run := func(topo *topology.Topology, shards int) *Result {
+		a, err := core.EvenScheduler{}.Schedule(topo, c, core.NewGlobalState(c))
+		if err != nil {
+			t.Fatalf("Schedule: %v", err)
+		}
+		sim, err := New(c, Config{
+			Duration:      2 * time.Second,
+			MetricsWindow: 250 * time.Millisecond,
+			Seed:          seed,
+			Replay:        true,
+			Shards:        shards,
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := sim.AddTopology(topo, a); err != nil {
+			t.Fatalf("AddTopology: %v", err)
+		}
+		if err := sim.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		// Each epoch moves four seeded tasks, spouts included, to a
+		// seeded node in another rack.
+		rng := rand.New(rand.NewSource(seed))
+		ids := c.NodeIDs()
+		tasks := topo.Tasks()
+		moved := 0
+		for at := 250 * time.Millisecond; at < 2*time.Second; at += 250 * time.Millisecond {
+			if err := sim.RunTo(at); err != nil {
+				t.Fatalf("RunTo(%v): %v", at, err)
+			}
+			next := a.Clone()
+			for i := 0; i < 4; i++ {
+				tid := tasks[rng.Intn(len(tasks))].ID
+				from := c.Node(next.Placements[tid].Node).Rack
+				for {
+					to := ids[rng.Intn(len(ids))]
+					if c.Node(to).Rack != from {
+						next.Place(tid, core.Placement{Node: to})
+						break
+					}
+				}
+			}
+			n, err := sim.Reassign("movers", next)
+			if err != nil {
+				t.Fatalf("Reassign at %v: %v", at, err)
+			}
+			moved += n
+			a = next
+		}
+		if moved == 0 {
+			t.Fatal("no task moved; the scenario is inert")
+		}
+		res, err := sim.Finish()
+		if err != nil {
+			t.Fatalf("Finish: %v", err)
+		}
+		return res
+	}
+	for _, boltsFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("bolts-first=%v", boltsFirst), func(t *testing.T) {
+			topo := build(boltsFirst)
+			base := run(topo, 1)
+			if base.Topology("movers").TuplesDelivered == 0 {
+				t.Fatal("no tuples delivered; the scenario is inert")
+			}
+			for _, shards := range []int{2, 4} {
+				if res := run(topo, shards); !reflect.DeepEqual(base, res) {
+					t.Errorf("shards=%d Result differs from shards=1 after cross-rack moves:\nbase: %+v\ngot:  %+v",
+						shards, base, res)
+				}
+			}
+		})
 	}
 }

@@ -244,8 +244,8 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 		// before the crash finishes deterministically; new emissions reset
 		// the cursor themselves.
 	}
-	// refreeze (not the inline loop) because a restarting task's old node
-	// may still be dead; dead nodes must not refreeze.
+	// refreeze skips dead nodes: a restarting task's old node may still
+	// be down.
 	s.refreeze(affected)
 	s.buildRouters(run)
 	s.rehomeEvents()

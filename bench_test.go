@@ -12,8 +12,9 @@ import (
 )
 
 // benchOpts keeps figure benchmarks affordable: three 4-second windows per
-// run (one warm-up) instead of the paper's 15 minutes. Figures driven from
-// cmd/rstorm-bench use longer durations; EXPERIMENTS.md records a full run.
+// run (one warm-up) instead of the paper's 15 minutes. rstorm-sim -matrix
+// runs figures at longer durations; internal/experiments/testdata/golden
+// records every figure's full report.
 func benchOpts() experiments.Options {
 	return experiments.Options{
 		Duration:      12 * time.Second,

@@ -13,9 +13,10 @@ import (
 // -update`.
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current output")
 
-// TestRunGolden pins the full output of every direct-simulation mode to a
-// checked-in file, at durations short enough to keep the suite fast. The
-// -fail case crashes a node exactly on a metrics-window boundary.
+// TestRunGolden pins the full output of every direct-simulation mode, and
+// the experiment list, to a checked-in file, at durations short enough to
+// keep the suite fast. The -fail case crashes a node exactly on a
+// metrics-window boundary.
 func TestRunGolden(t *testing.T) {
 	fail := "crash:node-0-0@1s,recover:node-0-0@2s,slow:node-0-1@500ms:2.0"
 	cases := []struct {
@@ -34,6 +35,7 @@ func TestRunGolden(t *testing.T) {
 			"-duration", "4s", "-window", "500ms"}},
 		{"journal-percentiles-trace", []string{"-fail", "node-0-0@1s", "-journal", "-percentiles", "-trace", "500",
 			"-duration", "3s", "-window", "500ms"}},
+		{"matrix-list", []string{"-matrix", "list"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

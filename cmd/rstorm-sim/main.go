@@ -8,9 +8,9 @@
 //	           [-scheduler r-storm|default-even|offline-linear] \
 //	           [-duration 60s] [-fail schedule] [-replay] \
 //	           [-adaptive] [-control-interval 1s] [-memory] [-traffic] \
-//	           [-multitenant] [-chaos] [-shards N] \
-//	           [-percentiles] [-trace N] [-journal]
+//	           [-shards N] [-percentiles] [-trace N] [-journal]
 //	rstorm-sim -matrix "spec" [-workers N] [-shards N] [-duration 60s] [-window 10s] [-seed 1]
+//	rstorm-sim -matrix list
 //
 // -fail takes a comma-separated chaos schedule (internal/faults): each
 // event is [crash:|recover:|slow:]node@time[:factor], the bare node@time
@@ -37,18 +37,13 @@
 // With -traffic the report gains the measured edge-rate matrix and the
 // run's inter-node tuple fraction; combined with -adaptive, consolidation
 // (imbalance-triggered) rebalances minimize the measured network cost
-// instead of ref-node distance. With -multitenant the other flags are set
-// aside and the multi-tenant control-plane scenario runs instead: a burst
-// of mixed-priority topologies arrives on a loaded cluster, FIFO
-// admission starves the high-priority tenant, and the priority-aware
-// pass evicts low-priority tenants to admit it (-duration and -seed
-// still apply). With -chaos the failover experiment runs the same way:
-// a scripted crash/recover schedule against a static schedule and against
-// the adaptive loop's failover trigger, reporting recovery ratio and
-// time-to-recover.
+// instead of ref-node distance.
 //
-// With -matrix the scenario orchestrator (DESIGN.md §10) runs an
-// experiment matrix instead of a single simulation: the spec grammar is
+// With -matrix the scenario orchestrator (DESIGN.md §10) runs registered
+// experiments instead of a single simulation, among them the paper's
+// figures, the multi-tenant scenario ("multitenant") and the chaos
+// scenario ("failover"). -matrix list prints every experiment's ID, title
+// and paper claim. The spec grammar is
 //
 //	<ids|all> [× seeds=<n..m|n,m,...>] [× duration=<d,...>] [× window=<d,...>]
 //
@@ -72,12 +67,13 @@
 // flags and off by default — leaving them off keeps every mode's output
 // byte-identical to the uninstrumented simulator. -percentiles turns on
 // the zero-allocation latency histograms and prints complete-tree latency
-// percentiles (p50/p95/p99/max) plus the per-window p99 timeline; with
-// -chaos it adds the failover latency-spike rows to the report. -trace N
-// samples every Nth spout emission into a tuple trace and prints the
-// reconstructed span trees (per-hop queue wait, service, and network
-// time). -journal records the run's control-plane decisions (faults
-// injected, OOM kills, triggers, rebalances) and prints them as JSONL.
+// percentiles (p50/p95/p99/max) plus the per-window p99 timeline; in a
+// -matrix failover run it adds the failover latency-spike rows to the
+// report. -trace N samples every Nth spout emission into a tuple trace
+// and prints the reconstructed span trees (per-hop queue wait, service,
+// and network time). -journal records the run's control-plane decisions
+// (faults injected, OOM kills, triggers, rebalances) and prints them as
+// JSONL.
 package main
 
 import (
@@ -125,17 +121,24 @@ func run(w io.Writer, args []string) error {
 		ctrlIvl     = fs.Duration("control-interval", 0, "adaptive control epoch (default: one metrics window)")
 		memoryOn    = fs.Bool("memory", false, "enable the runtime memory model: resident accounting + OOM enforcement (with -adaptive, measured memory replaces declarations)")
 		trafficOn   = fs.Bool("traffic", false, "report the measured edge-rate matrix and inter-node tuple fraction (with -adaptive, consolidation rebalances minimize measured network cost)")
-		multitenant = fs.Bool("multitenant", false, "run the multi-tenant control-plane scenario: priority-aware admission and eviction vs FIFO on a loaded cluster")
-		chaos       = fs.Bool("chaos", false, "run the failover experiment: scripted crash/recover vs the adaptive failover trigger")
-		percentiles = fs.Bool("percentiles", false, "latency histograms: print complete-tree latency percentiles and the per-window p99 timeline (with -chaos, add the failover latency-spike rows)")
+		percentiles = fs.Bool("percentiles", false, "latency histograms: print complete-tree latency percentiles and the per-window p99 timeline (in a -matrix failover run, add the failover latency-spike rows)")
 		traceEvery  = fs.Int("trace", 0, "sample every Nth spout emission into a tuple trace and print the reconstructed span trees (0 = off)")
 		journalOn   = fs.Bool("journal", false, "record control-plane decisions (faults, OOM kills, triggers, rebalances) and print them as JSONL")
-		matrixSpec  = fs.String("matrix", "", `run an experiment matrix across the worker pool, e.g. "failover,consolidate × seeds=1..16" (see the package comment for the grammar)`)
+		matrixSpec  = fs.String("matrix", "", `run an experiment matrix across the worker pool, e.g. "failover,consolidate × seeds=1..16" (see the package comment for the grammar); "list" lists the experiments`)
 		workers     = fs.Int("workers", 0, "worker goroutines for -matrix (0 = all CPUs)")
 		shards      = fs.Int("shards", 0, "lane partition: 0 = one lane spanning the cluster, N >= 1 = one lane per rack on up to N workers (output identical for every N >= 1)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *duration <= 0 {
+		return fmt.Errorf("-duration %v is not positive", *duration)
+	}
+	if *window <= 0 {
+		return fmt.Errorf("-window %v is not positive", *window)
+	}
+	if *ctrlIvl < 0 {
+		return fmt.Errorf("-control-interval %v is negative", *ctrlIvl)
 	}
 	if *traceEvery < 0 {
 		return fmt.Errorf("-trace %d is negative", *traceEvery)
@@ -147,7 +150,7 @@ func run(w io.Writer, args []string) error {
 		return fmt.Errorf("-trace and -journal require the single-threaded kernel (-shards 0)")
 	}
 	if *matrixSpec != "" {
-		if *topoPath != "" || *multitenant || *chaos || *adaptiveOn || *failSpec != "" ||
+		if *topoPath != "" || *adaptiveOn || *failSpec != "" ||
 			*traceEvery > 0 || *journalOn || *memoryOn || *trafficOn || *replayOn {
 			return fmt.Errorf("-matrix runs registered experiments and composes with no other mode flag")
 		}
@@ -161,17 +164,6 @@ func run(w io.Writer, args []string) error {
 	}
 	if *workers != 0 {
 		return fmt.Errorf("-workers only applies to -matrix runs")
-	}
-	if (*multitenant || *chaos) && (*traceEvery > 0 || *journalOn) {
-		// The experiment modes run their own pre-wired simulations;
-		// only -percentiles threads through to them.
-		return fmt.Errorf("-trace and -journal apply to direct simulation runs, not -multitenant/-chaos (use -percentiles there)")
-	}
-	if *multitenant {
-		return runExperiment(w, "multitenant", *duration, *seed, *percentiles, *shards)
-	}
-	if *chaos {
-		return runExperiment(w, "failover", *duration, *seed, *percentiles, *shards)
 	}
 
 	c, err := loadCluster(*clusterPath)
@@ -296,7 +288,14 @@ func run(w io.Writer, args []string) error {
 // runMatrix parses a matrix spec, resolves it against the experiment
 // registry, and evaluates it across the orchestrator's worker pool. The
 // merged output is deterministic: byte-identical for any -workers value.
+// The spec "list" prints the registry instead.
 func runMatrix(w io.Writer, spec string, workers int, base experiments.Options) error {
+	if spec == "list" {
+		for _, e := range experiments.All() {
+			fmt.Fprintf(w, "%-10s %s\n           paper: %s\n", e.ID, e.Title, e.PaperClaim)
+		}
+		return nil
+	}
 	parsed, err := orchestra.ParseSpec(spec)
 	if err != nil {
 		return err
@@ -313,28 +312,6 @@ func runMatrix(w io.Writer, spec string, workers int, base experiments.Options) 
 	if failed := results.Failed(); failed > 0 {
 		return fmt.Errorf("%d of %d matrix cells failed", failed, len(results.Cells))
 	}
-	return nil
-}
-
-// runExperiment runs a registered scenario experiment
-// (internal/experiments) and renders its report: "multitenant" (FIFO vs
-// priority-aware admission) or "failover" (scripted chaos vs the adaptive
-// failover trigger).
-func runExperiment(w io.Writer, id string, duration time.Duration, seed int64, percentiles bool, shards int) error {
-	e, ok := experiments.ByID(id)
-	if !ok {
-		return fmt.Errorf("%s experiment not registered", id)
-	}
-	report, err := e.Run(experiments.Options{
-		Duration:    duration,
-		Seed:        seed,
-		Percentiles: percentiles,
-		Shards:      shards,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, report.Render())
 	return nil
 }
 

@@ -320,8 +320,8 @@ func TestRunChaosSchedule(t *testing.T) {
 // TestRunChaosMode runs the failover experiment end to end from the CLI.
 func TestRunChaosMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, []string{"-chaos", "-duration", "6s"}); err != nil {
-		t.Fatalf("run -chaos: %v", err)
+	if err := run(&out, []string{"-matrix", "failover", "-duration", "6s"}); err != nil {
+		t.Fatalf("run -matrix failover: %v", err)
 	}
 	s := out.String()
 	for _, want := range []string{
@@ -375,7 +375,9 @@ func TestRunMatrixMode(t *testing.T) {
 
 // TestRunMatrixRejectsBadSpecs: the matrix flag surface fails cleanly on
 // grammar errors, oversized matrices, unknown experiments, flag
-// composition, and stray -workers.
+// composition, and stray -workers; and every mode refuses, naming the
+// flag, a duration, window or control interval it would otherwise
+// silently replace.
 func TestRunMatrixRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -385,9 +387,13 @@ func TestRunMatrixRejectsBadSpecs(t *testing.T) {
 		{[]string{"-matrix", "fig8a × seeds=1..9223372036854775807"}, "more than 65536 values"},
 		{[]string{"-matrix", "fig99 × seeds=1"}, `unknown experiment "fig99"`},
 		{[]string{"-matrix", "fig9b", "-adaptive"}, "composes with no other mode flag"},
-		{[]string{"-matrix", "fig9b", "-chaos"}, "composes with no other mode flag"},
 		{[]string{"-matrix", "fig9b", "-fail", "node-0-0@1s"}, "composes with no other mode flag"},
 		{[]string{"-workers", "4", "-duration", "1s"}, "-workers only applies to -matrix"},
+		{[]string{"-duration", "0"}, "-duration 0s is not positive"},
+		{[]string{"-matrix", "fig9b", "-duration", "-1s"}, "-duration -1s is not positive"},
+		{[]string{"-window", "0", "-duration", "2s"}, "-window 0s is not positive"},
+		{[]string{"-matrix", "fig9b", "-window", "-2s"}, "-window -2s is not positive"},
+		{[]string{"-adaptive", "-control-interval", "-1s", "-duration", "2s"}, "-control-interval -1s is negative"},
 	}
 	for _, c := range cases {
 		err := run(&bytes.Buffer{}, c.args)
@@ -399,8 +405,8 @@ func TestRunMatrixRejectsBadSpecs(t *testing.T) {
 
 func TestRunMultiTenantMode(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, []string{"-multitenant", "-duration", "6s"}); err != nil {
-		t.Fatalf("run -multitenant: %v", err)
+	if err := run(&out, []string{"-matrix", "multitenant", "-duration", "6s"}); err != nil {
+		t.Fatalf("run -matrix multitenant: %v", err)
 	}
 	s := out.String()
 	for _, want := range []string{
@@ -415,15 +421,15 @@ func TestRunMultiTenantMode(t *testing.T) {
 		}
 	}
 	// A duration too short for the scenario's epochs is a clean error.
-	if err := run(&bytes.Buffer{}, []string{"-multitenant", "-duration", "1s"}); err == nil {
+	if err := run(&bytes.Buffer{}, []string{"-matrix", "multitenant", "-duration", "1s"}); err == nil {
 		t.Error("1s multitenant run accepted")
 	}
 }
 
 // TestRunShardedMode pins the -shards contract end to end: the sharded
 // kernel's CLI output is byte-identical for every worker count, composes
-// with the mode flags (-chaos shown here), and the single-ordered-loop
-// observability paths reject it.
+// with -matrix (the failover experiment shown here), and the
+// single-ordered-loop observability paths reject it.
 func TestRunShardedMode(t *testing.T) {
 	direct := func(shards string) string {
 		var out bytes.Buffer
@@ -443,23 +449,20 @@ func TestRunShardedMode(t *testing.T) {
 		}
 	}
 
-	chaos := func(shards string) string {
+	failover := func(shards string) string {
 		var out bytes.Buffer
-		args := []string{"-chaos", "-duration", "6s"}
-		if shards != "" {
-			args = append(args, "-shards", shards)
-		}
+		args := []string{"-matrix", "failover", "-duration", "6s", "-shards", shards}
 		if err := run(&out, args); err != nil {
-			t.Fatalf("run -chaos -shards %q: %v", shards, err)
+			t.Fatalf("run -matrix failover -shards %s: %v", shards, err)
 		}
 		return out.String()
 	}
-	chaosBase := chaos("1")
-	if !strings.Contains(chaosBase, "failover") {
-		t.Fatalf("chaos run produced no report:\n%s", chaosBase)
+	failoverBase := failover("1")
+	if !strings.Contains(failoverBase, "time-to-recover") {
+		t.Fatalf("failover run produced no report:\n%s", failoverBase)
 	}
-	if got := chaos("4"); got != chaosBase {
-		t.Errorf("-chaos -shards 4 output diverged from -shards 1")
+	if got := failover("4"); got != failoverBase {
+		t.Errorf("-matrix failover -shards 4 output diverged from -shards 1")
 	}
 
 	for _, c := range []struct {

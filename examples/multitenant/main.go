@@ -1,7 +1,7 @@
 // Multitenant: drive the full master-daemon workflow of the paper's §6.5 —
 // a 24-node cluster, supervisors joining, two production topologies
-// submitted to Nimbus, periodic scheduling rounds, a node failure, and the
-// automatic reschedule — then simulate both topologies together.
+// submitted to Nimbus, periodic master cycles, a node failure, and the
+// failure detector's repair — then simulate both topologies together.
 package main
 
 import (
@@ -62,16 +62,25 @@ func run() error {
 		fmt.Printf("  %-12s %2d nodes, %2d workers\n", name, len(a.NodesUsed()), a.WorkersUsed())
 	}
 
-	// A machine dies: its supervisor session expires, the next master
-	// cycle notices, tears down affected topologies, and reschedules
-	// them on the survivors.
+	// A machine dies: its supervisor session expires, and the next master
+	// cycle's failure detector declares it dead and restarts only its
+	// tasks on the survivors. The others heartbeat as usual.
 	victim := n.Assignment("processing").NodesUsed()[0]
 	fmt.Printf("\nkilling supervisor on %s...\n", victim)
 	if err := supervisors[victim].Fail(); err != nil {
 		return err
 	}
-	rescheduled := n.Tick()
-	fmt.Printf("rescheduled after failure: %v\n", rescheduled)
+	for id, sv := range supervisors {
+		if id != victim {
+			if err := sv.Heartbeat(); err != nil {
+				return err
+			}
+		}
+	}
+	n.Tick()
+	for _, f := range n.Failovers() {
+		fmt.Printf("failover of %s: %d tasks restarted off %s\n", f.Topology, f.Moves, f.Node)
+	}
 	for id, p := range n.Assignment("processing").Placements {
 		if p.Node == victim {
 			return fmt.Errorf("task %d still on dead node", id)

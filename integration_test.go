@@ -11,8 +11,8 @@ import (
 // TestIntegrationMasterFailureRescheduleSimulate drives the whole stack
 // through the public API: a 24-node cluster, supervisors joining through
 // the state store, two production topologies scheduled by Nimbus, a
-// supervisor failure with automatic rescheduling, and a joint simulation
-// of the final placements.
+// supervisor failure repaired by the failure detector's incremental
+// failover, and a joint simulation of the final placements.
 func TestIntegrationMasterFailureRescheduleSimulate(t *testing.T) {
 	c, err := rstorm.Emulab24()
 	if err != nil {
@@ -61,15 +61,18 @@ func TestIntegrationMasterFailureRescheduleSimulate(t *testing.T) {
 	}
 
 	// Kill a node hosting processing tasks; the next master cycle must
-	// reschedule processing off it while pageload keeps its placement.
+	// restart processing's tasks off it while pageload keeps its
+	// placement.
 	victim := n.Assignment("processing").NodesUsed()[0]
 	plBefore := n.Assignment("pageload")
 	if err := supervisors[victim].Fail(); err != nil {
 		t.Fatalf("fail: %v", err)
 	}
-	rescheduled := n.Tick()
-	if len(rescheduled) != 1 || rescheduled[0] != "processing" {
-		t.Fatalf("rescheduled %v, want [processing]", rescheduled)
+	n.Tick()
+	failovers := n.Failovers()
+	if len(failovers) != 1 || failovers[0].Topology != "processing" ||
+		failovers[0].Requeued || failovers[0].Moves == 0 {
+		t.Fatalf("failovers %+v, want one incremental repair of processing", failovers)
 	}
 	if n.Assignment("pageload") != plBefore {
 		t.Error("pageload was disturbed by an unrelated failure")

@@ -1,7 +1,7 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (§6): it schedules the benchmark workloads with default Storm and with
 // R-Storm, executes both on the simulator, and reports the comparison the
-// corresponding figure makes. cmd/rstorm-bench and the repository-level
+// corresponding figure makes. rstorm-sim -matrix and the repository-level
 // benchmarks are thin wrappers around this package.
 package experiments
 

@@ -75,7 +75,7 @@ func MatrixCells(spec *orchestra.Spec, base Options) ([]orchestra.Cell, error) {
 	for _, cs := range cellSpecs {
 		e, ok := ByID(cs.ID)
 		if !ok {
-			return nil, fmt.Errorf("unknown experiment %q in matrix spec (rstorm-bench -list names them)", cs.ID)
+			return nil, fmt.Errorf("unknown experiment %q in matrix spec (rstorm-sim -matrix list names them)", cs.ID)
 		}
 		opts := base
 		if cs.Seed != 0 {

@@ -1,7 +1,7 @@
 // Package faults is the chaos-injection harness: a declarative fault
 // model (crash, recover, slow) with a scripted-schedule parser, consumed
 // by the simulator's injection API (Simulation.InjectFault), the failover
-// experiment, and rstorm-sim's -fail/-chaos flags.
+// experiment, and rstorm-sim's -fail flag.
 //
 // A schedule is a comma-separated list of events:
 //

@@ -10,19 +10,17 @@ import (
 	"rstorm/internal/trace"
 )
 
-// The heartbeat failure detector closes the loop DetectFailures leaves
-// open: DetectFailures only notices a supervisor whose *session* expired,
-// and its repair is a full teardown — every task of every affected
-// topology is requeued and rescheduled from scratch. The detector instead
-// watches heartbeat progress (a wedged supervisor holds its session but
-// stops publishing fresh sequence numbers), walks each node through
-// healthy → suspect → dead with configurable patience, and repairs
-// incrementally: a failover scheduling round re-places only the dead
-// node's tasks via core.IncrementalReschedule's Restart option, leaving
-// every healthy worker untouched. Recovered nodes are flap-damped — held
-// out of the availability picture until they prove themselves with a run
-// of fresh heartbeats — so a bouncing machine cannot churn placements on
-// every bounce.
+// The heartbeat failure detector is Nimbus's only failure path. It
+// watches heartbeat progress as well as session expiry (a wedged
+// supervisor holds its session but stops publishing fresh sequence
+// numbers), walks each node through healthy → suspect → dead with
+// configurable patience, and repairs incrementally: a failover scheduling
+// round re-places only the dead node's tasks via
+// core.IncrementalReschedule's Restart option, leaving every healthy
+// worker untouched. Recovered nodes are flap-damped — held out of the
+// availability picture until they prove themselves with a run of fresh
+// heartbeats — so a bouncing machine cannot churn placements on every
+// bounce.
 
 // DetectorConfig tunes the heartbeat failure detector.
 type DetectorConfig struct {
@@ -129,7 +127,8 @@ type NodeHealthStatus struct {
 }
 
 // DetectorStatus is the snapshot served by the StatisticServer's /faults
-// route.
+// route. Enabled is always true: the detector is always on, and the field
+// stays for the route's readers.
 type DetectorStatus struct {
 	Enabled      bool               `json:"enabled"`
 	SuspectAfter int                `json:"suspectAfter,omitempty"`
@@ -140,24 +139,21 @@ type DetectorStatus struct {
 	Events       []FailoverEvent    `json:"events,omitempty"`
 }
 
-// EnableFailureDetector turns the heartbeat failure detector on. Opt-in:
-// without it, Nimbus keeps its legacy behaviour (session expiry noticed
-// by DetectFailures, full teardown repair), byte for byte.
+// EnableFailureDetector sets the detector's thresholds; zero fields take
+// the defaults New starts with. Node records and failover history are
+// kept.
 func (n *Nimbus) EnableFailureDetector(cfg DetectorConfig) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.detector = &detector{
-		cfg:   cfg.withDefaults(),
-		nodes: make(map[cluster.NodeID]*nodeHealth),
-	}
+	n.detector.cfg = cfg.withDefaults()
 }
 
-// Failovers returns the failover history, oldest first. Nil when the
-// detector is disabled or nothing has failed over.
+// Failovers returns the failover history, oldest first, or nil when
+// nothing has failed over.
 func (n *Nimbus) Failovers() []FailoverEvent {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.detector == nil || len(n.detector.events) == 0 {
+	if len(n.detector.events) == 0 {
 		return nil
 	}
 	out := make([]FailoverEvent, len(n.detector.events))
@@ -170,9 +166,6 @@ func (n *Nimbus) DetectorStatus() DetectorStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	d := n.detector
-	if d == nil {
-		return DetectorStatus{}
-	}
 	out := DetectorStatus{
 		Enabled:      true,
 		SuspectAfter: d.cfg.SuspectAfter,
@@ -203,8 +196,7 @@ func (n *Nimbus) DetectorStatus() DetectorStatus {
 // and heartbeat sequence from the state store, advance each node's health
 // state, fail over the tasks of nodes newly declared dead, and restore
 // capacity to nodes that have finished their flap-damping hold. It
-// returns the nodes declared dead this tick. A no-op until
-// EnableFailureDetector.
+// returns the nodes declared dead this tick.
 //
 // Call it on the master's heartbeat cadence; the suspect/dead thresholds
 // are measured in these calls.
@@ -215,9 +207,13 @@ func (n *Nimbus) DetectorStatus() DetectorStatus {
 // and nothing else writes the node. So one ChildVersions call reads every
 // supervisor's presence and progress, and no payload is decoded.
 func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
-	// Read presence outside the Nimbus lock; the store has its own.
-	// seqs[i] is the heartbeat seq of the node at cluster index i, or -1
-	// when it has no presence node.
+	// Read presence under the Nimbus lock: StartSupervisor creates a
+	// presence node and its record under the same lock, so the tick never
+	// sees a record without the presence that came with it. seqs[i] is
+	// the heartbeat seq of the node at cluster index i, or -1 when it has
+	// no presence node.
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	seqs := make([]int64, n.cluster.Size())
 	for i := range seqs {
 		seqs[i] = -1
@@ -229,24 +225,14 @@ func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 			}
 		}
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	d := n.detector
-	if d == nil {
-		return nil
-	}
 	d.ticks++
 	var newlyDead, recovered []cluster.NodeID
 	for i, seq := range seqs { // declaration order: deterministic
 		id, here := n.cluster.NodeAt(i).ID, seq >= 0
 		h := d.nodes[id]
 		if h == nil {
-			if !here {
-				continue // never joined: not the detector's business
-			}
-			// First sight: the registration itself is the first beat.
-			d.nodes[id] = &nodeHealth{state: HealthHealthy, lastSeq: seq}
-			continue
+			continue // never joined: not the detector's business
 		}
 		switch {
 		case !here:
@@ -300,14 +286,10 @@ func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 		}
 	}
 	for _, id := range newlyDead {
-		// The detector owns the death from here; DetectFailures must not
-		// double-handle it if the session also expires later.
-		delete(n.alive, id)
 		n.failoverNodeLocked(id)
 	}
 	for _, id := range recovered {
 		_ = n.state.RestoreNode(id)
-		n.alive[id] = true
 		n.logf("node %s passed flap damping (%d fresh beats); capacity restored",
 			id, d.cfg.FlapDamping)
 		n.journalRecord(trace.CodeNodeRejoin, "", string(id),
@@ -334,7 +316,7 @@ func (n *Nimbus) untrustedAvailability() map[cluster.NodeID]resource.Vector {
 // one incremental failover round per topology, re-placing only the dead
 // node's tasks (live workers frozen in place) on detector-trusted
 // capacity. A topology whose restarts cannot all be placed falls back to
-// the legacy repair — assignment torn down, topology requeued for a full
+// a full repair — assignment torn down, topology requeued for a full
 // scheduling round once capacity returns. Caller holds n.mu.
 func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
 	d := n.detector
@@ -372,8 +354,8 @@ func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
 				fmt.Sprintf("tick=%d requeued", d.ticks))
 		}
 		if !isRAS {
-			// Resource-blind schedulers have no incremental pass: legacy
-			// teardown repair.
+			// Resource-blind schedulers have no incremental pass: full
+			// repair.
 			requeue()
 			continue
 		}

@@ -3,6 +3,7 @@ package nimbus
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"rstorm/internal/core"
 	"rstorm/internal/resource"
 	"rstorm/internal/topology"
+	"rstorm/internal/trace"
 )
 
 // beatExcept heartbeats every supervisor except the listed victims.
@@ -70,7 +72,7 @@ func TestDetectorSuspectThenDead(t *testing.T) {
 	before := n.Assignment("wordcount")
 	victim := victimNode(t, n, "wordcount")
 
-	n.HeartbeatTick() // first sight: every node tracked healthy
+	n.HeartbeatTick() // the registration beats are fresh: every node healthy
 	if got := nodeState(t, n, victim).State; got != "healthy" {
 		t.Fatalf("victim state = %s, want healthy", got)
 	}
@@ -156,7 +158,6 @@ func TestHeartbeatLossFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	n.EnableFailureDetector(DetectorConfig{})
 	sups := startAll(t, n, c)
 	topo := testTopo(t, "wordcount", 4)
 	if err := n.SubmitTopology(topo); err != nil {
@@ -165,9 +166,9 @@ func TestHeartbeatLossFailover(t *testing.T) {
 	n.RunSchedulingRound()
 	victim := victimNode(t, n, "wordcount")
 
-	n.HeartbeatTick()
-	// Session expiry: the supervisor's ephemeral presence vanishes. Death
-	// is immediate — no missed-beat patience.
+	// Session expiry, before the detector has ever ticked: the
+	// supervisor's ephemeral presence vanishes. Death is immediate — no
+	// missed-beat patience.
 	if err := sups[victim].Fail(); err != nil {
 		t.Fatalf("Fail: %v", err)
 	}
@@ -193,13 +194,13 @@ func TestHeartbeatLossFailover(t *testing.T) {
 			t.Fatalf("stored assignment leaves task %d on dead node", task.ID)
 		}
 	}
-	// Legacy DetectFailures sees nothing left to do: the detector already
-	// owned the death.
-	if lost := n.DetectFailures(); len(lost) != 0 {
-		t.Fatalf("DetectFailures double-handled: %v", lost)
+	// Later ticks see nothing left to do: the death is handled once.
+	beatExcept(t, sups, victim)
+	if dead := n.HeartbeatTick(); len(dead) != 0 {
+		t.Fatalf("re-declared dead: %v", dead)
 	}
-	if got := n.Assignment("wordcount"); got == nil {
-		t.Fatal("DetectFailures tore down the repaired assignment")
+	if len(n.Failovers()) != 1 || n.Assignment("wordcount") == nil {
+		t.Fatalf("second tick disturbed the repair: failovers %v", n.Failovers())
 	}
 }
 
@@ -329,13 +330,129 @@ func TestRecoveryStallReturnsNodeToDead(t *testing.T) {
 	}
 }
 
+// supervisorsGauge reads rstorm_supervisors_alive from /metrics.
+func supervisorsGauge(t *testing.T, n *Nimbus) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	NewStatisticServer(n).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	families, err := trace.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatalf("parse /metrics: %v", err)
+	}
+	for _, f := range families {
+		if f.Name == "rstorm_supervisors_alive" {
+			return f.Samples[0].Value
+		}
+	}
+	t.Fatal("no rstorm_supervisors_alive family")
+	return 0
+}
+
+// TestRedeathDuringFlapDampingAllowsRejoin: a rejoined node that stalls
+// mid-recovery is dead again, so once its session expires it may register
+// once more, and the supervisors gauge never counts it while it is dead
+// or held down.
+func TestRedeathDuringFlapDampingAllowsRejoin(t *testing.T) {
+	c := testCluster(t)
+	n, err := New(c, core.NewResourceAwareScheduler())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sups := startAll(t, n, c)
+	victim := c.NodeIDs()[0]
+	n.HeartbeatTick()
+	if err := sups[victim].Fail(); err != nil {
+		t.Fatalf("Fail: %v", err)
+	}
+	n.HeartbeatTick()
+	sv, err := n.StartSupervisor(victim)
+	if err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	if got := supervisorsGauge(t, n); got != 11 {
+		t.Fatalf("gauge while held down = %v, want 11", got)
+	}
+	beatExcept(t, sups, victim)
+	n.HeartbeatTick() // the registration beat: recovering, 1 fresh beat
+	beatExcept(t, sups, victim)
+	n.HeartbeatTick() // stalled mid-recovery: dead again
+	if got := nodeState(t, n, victim).State; got != "dead" {
+		t.Fatalf("after stall: state = %s, want dead", got)
+	}
+	if got := supervisorsGauge(t, n); got != 11 {
+		t.Fatalf("gauge with the node dead = %v, want 11", got)
+	}
+	if err := sv.Fail(); err != nil {
+		t.Fatalf("Fail: %v", err)
+	}
+	beatExcept(t, sups, victim)
+	n.HeartbeatTick()
+	if _, err := n.StartSupervisor(victim); err != nil {
+		t.Fatalf("rejoin after re-death: %v", err)
+	}
+	if got := nodeState(t, n, victim).State; got != "recovering" {
+		t.Fatalf("after second rejoin: state = %s, want recovering", got)
+	}
+}
+
+// TestRefusedRejoinChangesNothing: a node declared dead by a stall still
+// holds its presence node through its old session, so a second
+// StartSupervisor fails. The refusal must leave the detector's record
+// alone, so the old session's later expiry is not a second death.
+func TestRefusedRejoinChangesNothing(t *testing.T) {
+	c := testCluster(t)
+	n, err := New(c, core.NewResourceAwareScheduler())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	j := trace.NewJournal(0)
+	n.SetJournal(j)
+	sups := startAll(t, n, c)
+	if err := n.SubmitTopology(testTopo(t, "wordcount", 4)); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	n.RunSchedulingRound()
+	victim := victimNode(t, n, "wordcount")
+	n.HeartbeatTick()
+	for i := 0; i < 4; i++ { // DeadAfter's default
+		beatExcept(t, sups, victim)
+		n.HeartbeatTick()
+	}
+	before := nodeState(t, n, victim)
+	if before.State != "dead" {
+		t.Fatalf("after 4 missed beats: state = %s, want dead", before.State)
+	}
+	events := len(n.Events())
+	if _, err := n.StartSupervisor(victim); err == nil || !strings.Contains(err.Error(), "register presence") {
+		t.Fatalf("rejoin over a live presence node: err = %v, want a presence error", err)
+	}
+	if got := nodeState(t, n, victim); got != before {
+		t.Fatalf("refused rejoin changed the record: %+v -> %+v", before, got)
+	}
+	if len(n.Events()) != events {
+		t.Fatalf("refused rejoin logged %q", n.Events()[events:])
+	}
+	if err := sups[victim].Fail(); err != nil {
+		t.Fatalf("Fail: %v", err)
+	}
+	beatExcept(t, sups, victim)
+	if dead := n.HeartbeatTick(); len(dead) != 0 {
+		t.Fatalf("old session's expiry declared %v dead again", dead)
+	}
+	if got := journalCodes(j, trace.CodeNodeDead); len(got) != 1 {
+		t.Fatalf("node-dead records = %+v, want 1", got)
+	}
+	if len(n.Failovers()) != 1 {
+		t.Fatalf("failovers = %v, want 1", n.Failovers())
+	}
+}
+
 func TestFailoverRequeuesWhenNoCapacity(t *testing.T) {
 	c := testCluster(t)
 	n, err := New(c, core.NewResourceAwareScheduler())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	n.EnableFailureDetector(DetectorConfig{})
 	// Only two supervisors join: the topology must straddle both, and when
 	// one dies the survivor cannot absorb its share.
 	ids := c.NodeIDs()
@@ -411,14 +528,13 @@ func TestFaultsRouteServesDetectorStatus(t *testing.T) {
 	}
 	srv := NewStatisticServer(n)
 
-	// Disabled detector: the route 404s, like /adaptive when unattached.
+	// The detector is on before any supervisor joins.
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/faults", nil))
-	if rec.Code != 404 {
-		t.Fatalf("/faults with detector off = %d, want 404", rec.Code)
+	if rec.Code != 200 {
+		t.Fatalf("/faults before any supervisor = %d, want 200", rec.Code)
 	}
 
-	n.EnableFailureDetector(DetectorConfig{})
 	sups := startAll(t, n, c)
 	topo := testTopo(t, "wordcount", 4)
 	if err := n.SubmitTopology(topo); err != nil {
@@ -459,16 +575,26 @@ func TestFaultsRouteServesDetectorStatus(t *testing.T) {
 }
 
 // TestDetectorConcurrentAccess exercises the detector under -race:
-// heartbeat ticks, supervisor beats, status snapshots, and summaries all
-// run at once.
+// heartbeat ticks, supervisor beats, late registrations, status
+// snapshots, and summaries all run at once. A supervisor that registers
+// while a tick runs is never mistaken for an expired session.
 func TestDetectorConcurrentAccess(t *testing.T) {
 	c := testCluster(t)
 	n, err := New(c, core.NewResourceAwareScheduler())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	n.EnableFailureDetector(DetectorConfig{})
-	sups := startAll(t, n, c)
+	j := trace.NewJournal(0)
+	n.SetJournal(j)
+	ids := c.NodeIDs()
+	sups := make(map[cluster.NodeID]*Supervisor)
+	for _, id := range ids[:6] {
+		sv, err := n.StartSupervisor(id)
+		if err != nil {
+			t.Fatalf("StartSupervisor(%s): %v", id, err)
+		}
+		sups[id] = sv
+	}
 	topo := testTopo(t, "wordcount", 4)
 	if err := n.SubmitTopology(topo); err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -477,7 +603,7 @@ func TestDetectorConcurrentAccess(t *testing.T) {
 
 	const iters = 50
 	var wg sync.WaitGroup
-	wg.Add(4)
+	wg.Add(5)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
@@ -489,6 +615,14 @@ func TestDetectorConcurrentAccess(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			for _, sv := range sups {
 				_ = sv.Heartbeat()
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, id := range ids[6:] {
+			if _, err := n.StartSupervisor(id); err != nil {
+				t.Errorf("StartSupervisor(%s): %v", id, err)
 			}
 		}
 	}()
@@ -506,6 +640,11 @@ func TestDetectorConcurrentAccess(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	for _, e := range journalCodes(j, trace.CodeNodeDead) {
+		if e.Detail == "session-expired" {
+			t.Errorf("%s declared dead by session expiry, but no session expired", e.Node)
+		}
+	}
 }
 
 // BenchmarkFailoverRound measures one detector tick that declares a node
@@ -522,7 +661,6 @@ func BenchmarkFailoverRound(b *testing.B) {
 		if err != nil {
 			b.Fatalf("New: %v", err)
 		}
-		n.EnableFailureDetector(DetectorConfig{})
 		sups := make(map[cluster.NodeID]*Supervisor)
 		for _, id := range c.NodeIDs() {
 			sv, err := n.StartSupervisor(id)
@@ -555,14 +693,13 @@ func BenchmarkFailoverRound(b *testing.B) {
 }
 
 // startDetector registers a supervisor on every node of c, in declaration
-// order, with the failure detector on, and runs the first tick.
+// order, and runs the first detector tick.
 func startDetector(tb testing.TB, c *cluster.Cluster) (*Nimbus, []*Supervisor) {
 	tb.Helper()
 	n, err := New(c, core.NewResourceAwareScheduler())
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
-	n.EnableFailureDetector(DetectorConfig{})
 	svs := make([]*Supervisor, 0, c.Size())
 	for _, id := range c.NodeIDs() {
 		sv, err := n.StartSupervisor(id)

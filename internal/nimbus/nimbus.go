@@ -47,7 +47,6 @@ type Nimbus struct {
 	scheduler  core.Scheduler
 	topologies map[string]*topology.Topology
 	pending    []string
-	alive      map[cluster.NodeID]bool
 	events     []string
 
 	// Multi-tenant metadata: per-topology priority and admission sequence
@@ -60,8 +59,8 @@ type Nimbus struct {
 	rounds     int
 	evictions  []EvictionEvent
 
-	// detector is the heartbeat failure detector (detector.go); nil until
-	// EnableFailureDetector.
+	// detector is the heartbeat failure detector (detector.go), the
+	// master's only view of supervisor liveness.
 	detector *detector
 
 	// journal is the shared decision journal (nil until SetJournal). The
@@ -93,9 +92,12 @@ func New(c *cluster.Cluster, sched core.Scheduler) (*Nimbus, error) {
 		state:      state,
 		scheduler:  sched,
 		topologies: make(map[string]*topology.Topology),
-		alive:      make(map[cluster.NodeID]bool),
 		priorities: make(map[string]int),
 		seqs:       make(map[string]int),
+		detector: &detector{
+			cfg:   DetectorConfig{}.withDefaults(),
+			nodes: make(map[cluster.NodeID]*nodeHealth),
+		},
 	}, nil
 }
 
@@ -360,45 +362,11 @@ func (n *Nimbus) RunSchedulingRound() []string {
 	return res.ScheduledOrder
 }
 
-// Tick is one periodic master cycle: detect membership changes, then run a
+// Tick is one periodic master cycle: a failure-detector cycle, then a
 // scheduling round.
 func (n *Nimbus) Tick() []string {
-	n.DetectFailures()
+	n.HeartbeatTick()
 	return n.RunSchedulingRound()
-}
-
-// DetectFailures reconciles the alive set against the store's supervisor
-// membership. Topologies with tasks on vanished nodes are torn down and
-// requeued for a full reschedule.
-func (n *Nimbus) DetectFailures() []cluster.NodeID {
-	registered := make(map[cluster.NodeID]bool)
-	for _, id := range n.AliveSupervisors() {
-		registered[id] = true
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var lost []cluster.NodeID
-	for id := range n.alive {
-		if !registered[id] {
-			lost = append(lost, id)
-		}
-	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	for _, id := range lost {
-		delete(n.alive, id)
-		affected := n.state.ReleaseNode(id)
-		n.logf("supervisor %s lost; %d topologies affected", id, len(affected))
-		for _, name := range affected {
-			n.state.Remove(name)
-			_ = n.store.Delete(assignmentsPath + "/" + name)
-			if _, known := n.topologies[name]; known {
-				n.dropPendingLocked(name)
-				n.pending = append(n.pending, name)
-				n.logf("requeued topology %q after failure of %s", name, id)
-			}
-		}
-	}
-	return lost
 }
 
 // Events returns the master's action log.
@@ -408,38 +376,6 @@ func (n *Nimbus) Events() []string {
 	out := make([]string, len(n.events))
 	copy(out, n.events)
 	return out
-}
-
-// registerSupervisor is called by Supervisor on join.
-func (n *Nimbus) registerSupervisor(id cluster.NodeID) error {
-	if n.cluster.Node(id) == nil {
-		return fmt.Errorf("unknown node %q", id)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.alive[id] {
-		return fmt.Errorf("supervisor %q already registered", id)
-	}
-	if d := n.detector; d != nil {
-		if h := d.nodes[id]; h != nil && (h.state == HealthDead || h.state == HealthRecovering) {
-			// Flap-damping hold-down: a node the detector saw die rejoins
-			// without capacity. lastSeq -1 makes the registration payload's
-			// seq 0 count as the first fresh beat; HeartbeatTick restores
-			// capacity once FlapDamping beats accumulate.
-			h.state = HealthRecovering
-			h.lastSeq = -1
-			h.healthy = 0
-			n.alive[id] = true
-			n.logf("supervisor %s rejoined; held down for flap damping", id)
-			return nil
-		}
-	}
-	if err := n.state.RestoreNode(id); err != nil {
-		return err
-	}
-	n.alive[id] = true
-	n.logf("supervisor %s joined", id)
-	return nil
 }
 
 // persistAssignment writes an assignment to the coordination store,

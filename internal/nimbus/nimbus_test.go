@@ -157,9 +157,12 @@ func TestSupervisorMembershipAndHeartbeat(t *testing.T) {
 	}
 }
 
+// TestFailureTriggersReschedule drives the detector's fallback for a
+// resource-blind scheduler: Even has no incremental pass, so a node death
+// tears the topology down and requeues it for a full reschedule.
 func TestFailureTriggersReschedule(t *testing.T) {
 	c := testCluster(t)
-	n, err := New(c, core.NewResourceAwareScheduler())
+	n, err := New(c, core.EvenScheduler{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -177,9 +180,15 @@ func TestFailureTriggersReschedule(t *testing.T) {
 	if err := sups[victim].Fail(); err != nil {
 		t.Fatalf("Fail: %v", err)
 	}
-	lost := n.DetectFailures()
+	lost := n.HeartbeatTick()
 	if len(lost) != 1 || lost[0] != victim {
 		t.Fatalf("lost = %v, want [%s]", lost, victim)
+	}
+	if events := n.Failovers(); len(events) != 1 || !events[0].Requeued {
+		t.Fatalf("failovers = %v, want one requeue", events)
+	}
+	if n.Assignment("resilient") != nil {
+		t.Fatal("assignment survives the teardown")
 	}
 	// The teardown must not credit the dead node's share back to it.
 	if avail := n.State().Available(victim); !avail.IsZero() {

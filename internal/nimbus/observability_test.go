@@ -30,7 +30,7 @@ func journalCodes(j *trace.Journal, code string) []trace.Event {
 // one table: non-GET methods get 405 with an Allow header, missing
 // sources get 404, and every error body is JSON with an "error" key.
 func TestStatServerRouteErrorPaths(t *testing.T) {
-	_, srv := statServerFixture(t) // bare server: no journal/latency/adaptive/detector
+	_, srv := statServerFixture(t) // bare server: no journal/latency/adaptive
 	routes := []struct {
 		path       string
 		wantGet    int // status of a plain GET
@@ -43,7 +43,7 @@ func TestStatServerRouteErrorPaths(t *testing.T) {
 		{"/events", http.StatusOK, ""},
 		{"/evictions", http.StatusOK, ""},
 		{"/adaptive", http.StatusNotFound, "adaptive controller not attached"},
-		{"/faults", http.StatusNotFound, "failure detector not enabled"},
+		{"/faults", http.StatusOK, ""},
 		{"/metrics", http.StatusOK, ""},
 		{"/journal", http.StatusNotFound, "journal not attached"},
 		{"/latency", http.StatusNotFound, "latency source not attached"},
@@ -121,7 +121,6 @@ func TestStatServerMetricsParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.EnableFailureDetector(DetectorConfig{})
 	startAll(t, n, c)
 	if err := n.SubmitTopology(testTopo(t, "served", 4)); err != nil {
 		t.Fatal(err)

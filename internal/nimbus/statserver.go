@@ -27,7 +27,6 @@ import (
 //	GET /evictions              the master's eviction history
 //	GET /adaptive               adaptive-controller state (when attached)
 //	GET /faults                 failure-detector state and failover history
-//	                            (when the detector is enabled)
 //	GET /metrics                Prometheus text exposition (DESIGN.md §8)
 //	GET /journal                decision journal as JSONL (when attached)
 //	GET /latency                per-topology latency summaries (when
@@ -178,12 +177,7 @@ func (s *StatisticServer) handleAdaptive(w http.ResponseWriter, r *http.Request)
 }
 
 func (s *StatisticServer) handleFaults(w http.ResponseWriter, r *http.Request) {
-	status := s.nimbus.DetectorStatus()
-	if !status.Enabled {
-		jsonError(w, "failure detector not enabled", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, status)
+	writeJSON(w, s.nimbus.DetectorStatus())
 }
 
 // handleJournal streams the decision journal in JSONL, one event per
@@ -220,7 +214,12 @@ func (s *StatisticServer) handleLatency(w http.ResponseWriter, r *http.Request) 
 func (s *StatisticServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	n := s.nimbus
 	n.mu.Lock()
-	supervisors := len(n.alive)
+	supervisors := 0
+	for _, h := range n.detector.nodes {
+		if h.state == HealthHealthy || h.state == HealthSuspect {
+			supervisors++
+		}
+	}
 	running := 0
 	for name := range n.topologies {
 		if n.state.Assignment(name) != nil {
@@ -230,10 +229,7 @@ func (s *StatisticServer) handleMetrics(w http.ResponseWriter, r *http.Request) 
 	pending := len(n.pending)
 	rounds := n.rounds
 	evictions := len(n.evictions)
-	failovers := 0
-	if n.detector != nil {
-		failovers = len(n.detector.events)
-	}
+	failovers := len(n.detector.events)
 	n.mu.Unlock()
 
 	var pw trace.PromWriter
@@ -249,14 +245,12 @@ func (s *StatisticServer) handleMetrics(w http.ResponseWriter, r *http.Request) 
 	pw.Header("rstorm_failovers_total", "Topology repairs after detector-declared node deaths.", "counter")
 	pw.Sample("rstorm_failovers_total", nil, float64(failovers))
 
-	if status := n.DetectorStatus(); status.Enabled {
-		pw.Header("rstorm_node_health", "Failure-detector state per node (1 = current state).", "gauge")
-		for _, nh := range status.Nodes {
-			pw.Sample("rstorm_node_health", []trace.Label{
-				{Name: "node", Value: nh.Node},
-				{Name: "state", Value: nh.State},
-			}, 1)
-		}
+	pw.Header("rstorm_node_health", "Failure-detector state per node (1 = current state).", "gauge")
+	for _, nh := range n.DetectorStatus().Nodes {
+		pw.Sample("rstorm_node_health", []trace.Label{
+			{Name: "node", Value: nh.Node},
+			{Name: "state", Value: nh.State},
+		}, 1)
 	}
 
 	if s.journal != nil {

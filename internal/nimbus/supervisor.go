@@ -42,13 +42,15 @@ type Supervisor struct {
 	prefix int
 }
 
-// StartSupervisor registers a supervisor for a cluster node.
+// StartSupervisor registers a supervisor for a cluster node. A node may
+// register when the failure detector has no record of it or has declared
+// it dead. Its presence node is created before any registration state
+// changes, so a refused registration changes nothing.
 func (n *Nimbus) StartSupervisor(id cluster.NodeID) (*Supervisor, error) {
-	if err := n.registerSupervisor(id); err != nil {
-		return nil, err
-	}
 	node := n.cluster.Node(id)
-	session := n.store.NewSession()
+	if node == nil {
+		return nil, fmt.Errorf("unknown node %q", id)
+	}
 	payload, err := json.Marshal(HeartbeatPayload{
 		Node:     string(id),
 		CPU:      node.Spec.Capacity.CPU,
@@ -59,8 +61,31 @@ func (n *Nimbus) StartSupervisor(id cluster.NodeID) (*Supervisor, error) {
 		return nil, fmt.Errorf("encode heartbeat: %w", err)
 	}
 	path := supervisorsPath + "/" + string(id)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	h := n.detector.nodes[id]
+	if h != nil && h.state != HealthDead {
+		return nil, fmt.Errorf("supervisor %q already registered", id)
+	}
+	session := n.store.NewSession()
 	if err := n.store.Create(path, payload, session); err != nil {
+		_ = n.store.ExpireSession(session)
 		return nil, fmt.Errorf("register presence: %w", err)
+	}
+	// lastSeq -1 makes the registration payload's seq 0 the first fresh
+	// beat.
+	if h != nil {
+		// Flap-damping hold-down: a node the detector saw die rejoins
+		// without capacity; HeartbeatTick restores it once FlapDamping
+		// beats accumulate.
+		h.state = HealthRecovering
+		h.lastSeq = -1
+		h.healthy = 0
+		n.logf("supervisor %s rejoined; held down for flap damping", id)
+	} else {
+		n.detector.nodes[id] = &nodeHealth{state: HealthHealthy, lastSeq: -1}
+		_ = n.state.RestoreNode(id) // cannot fail: the node is in the cluster
+		n.logf("supervisor %s joined", id)
 	}
 	return &Supervisor{id: id, store: n.store, session: session, path: path,
 		beat: payload, prefix: len(payload) - len("0}")}, nil
@@ -81,7 +106,8 @@ func (sv *Supervisor) Heartbeat() error {
 }
 
 // Fail simulates the machine dying: the session expires and the ephemeral
-// presence node disappears. Nimbus notices at its next DetectFailures.
+// presence node disappears. Nimbus declares the node dead at its next
+// HeartbeatTick.
 func (sv *Supervisor) Fail() error {
 	if sv.failed {
 		return fmt.Errorf("supervisor %s already failed", sv.id)

@@ -4,8 +4,9 @@
 // reconstructions of the Yahoo! PageLoad and Processing production
 // topologies (Fig. 11–13). Parameters — parallelism, declared resource
 // loads, and execution profiles — are calibrated so the simulated cluster
-// reproduces the qualitative shapes the paper reports; EXPERIMENTS.md
-// records paper-vs-measured per figure.
+// reproduces the qualitative shapes the paper reports; each figure's report
+// in internal/experiments/testdata/golden sets the measured result beside
+// the paper's claim.
 package workloads
 
 import (

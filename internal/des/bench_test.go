@@ -27,3 +27,22 @@ func BenchmarkScheduleStep(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkScheduleStepSameTime is BenchmarkScheduleStep for events due
+// now: ScheduleEvent(0) → the FIFO's push, Step → pop against the heap's
+// top, with the same 1024 standing future events on the heap.
+func BenchmarkScheduleStepSameTime(b *testing.B) {
+	e := NewEngine()
+	ev := &countEvent{}
+	for i := 0; i < 1024; i++ {
+		e.ScheduleEvent(time.Duration(i+1)*time.Millisecond, ev)
+	}
+	e.ScheduleEvent(0, ev) // grow the FIFO once, outside the timed region
+	e.Step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ScheduleEvent(0, ev)
+		e.Step()
+	}
+}

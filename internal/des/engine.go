@@ -4,13 +4,23 @@
 // seeded RNG is fully reproducible.
 //
 // There is one event representation: a value implementing Event, queued
-// by ScheduleEvent or ScheduleEventAt. The queue is a hand-rolled 4-ary
-// min-heap of event values stored inline in a single slice — no per-event
-// boxing, no interface round-trips through container/heap, and no pointer
-// chasing during sift operations. Popped slots are recycled in place (the
-// slice keeps its capacity), so once the heap has grown to the
-// simulation's peak event population, scheduling is allocation-free: the
-// backing array is the free list.
+// by ScheduleEvent or ScheduleEventAt. The queue has two tiers holding
+// the same event values. An event due later than the current instant
+// goes on a hand-rolled 4-ary min-heap stored inline in a single slice:
+// no per-event boxing, no interface round-trips through container/heap,
+// and no pointer chasing during sift operations. An event due at the
+// current instant (zero or negative delay, or a past absolute time) skips
+// the heap and is appended to a FIFO ring. Both tiers recycle their slots
+// in place, so once each has grown to the simulation's peak population,
+// scheduling is allocation-free.
+//
+// The tiers are one (at, seq) order because of a clock invariant: every
+// event in the FIFO is due at exactly the current time, and the clock
+// never moves past a pending event, so it cannot leave one behind in the
+// FIFO. The heap may also hold events at the current time, but those were
+// scheduled before the clock reached it, so their seq is smaller than any
+// FIFO entry's. Taking the FIFO head unless the heap's top is earlier by
+// (at, seq) therefore fires events in exactly the order one heap would.
 package des
 
 import (
@@ -25,13 +35,15 @@ type Event interface {
 	Fire()
 }
 
-// Engine owns the virtual clock and the pending event queue. It is not
-// safe for concurrent use: a simulation runs single-threaded, which is what
-// makes it deterministic.
+// Engine owns the virtual clock and the pending events: a heap of future
+// events and a FIFO of events due now (see the package doc for why the
+// two fire in one (at, seq) order). It is not safe for concurrent use: a
+// simulation runs single-threaded, which is what makes it deterministic.
 type Engine struct {
 	now   time.Duration
 	seq   uint64
 	queue eventQueue
+	due   dueQueue
 }
 
 // NewEngine returns an Engine with the clock at zero.
@@ -43,7 +55,7 @@ func NewEngine() *Engine {
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue.events) }
+func (e *Engine) Pending() int { return len(e.queue.events) + e.due.n }
 
 // ScheduleEvent queues an event after delay. Negative delays are
 // clamped to zero. The Engine holds only the interface value; callers own
@@ -58,14 +70,16 @@ func (e *Engine) ScheduleEvent(delay time.Duration, ev Event) {
 }
 
 // ScheduleEventAt queues an event at an absolute virtual time. Times
-// in the past are clamped to the current time.
+// in the past are clamped to the current time, and an event due now
+// joins the FIFO instead of the heap.
 //
 //rstorm:hotpath
 func (e *Engine) ScheduleEventAt(at time.Duration, ev Event) {
-	if at < e.now {
-		at = e.now
-	}
 	e.seq++
+	if at <= e.now {
+		e.due.push(event{at: e.now, seq: e.seq, ev: ev})
+		return
+	}
 	e.queue.push(event{at: at, seq: e.seq, ev: ev})
 }
 
@@ -74,13 +88,24 @@ func (e *Engine) ScheduleEventAt(at time.Duration, ev Event) {
 //
 //rstorm:hotpath
 func (e *Engine) Step() bool {
-	if len(e.queue.events) == 0 {
+	if e.Pending() == 0 {
 		return false
 	}
-	ev := e.queue.pop()
+	ev := e.pop()
 	e.now = ev.at
 	ev.ev.Fire()
 	return true
+}
+
+// pop removes the earliest pending event by (at, seq): the FIFO head
+// unless the heap's top is due first. At least one event must be pending.
+//
+//rstorm:hotpath
+func (e *Engine) pop() event {
+	if e.due.n > 0 && (len(e.queue.events) == 0 || e.due.buf[e.due.head].before(&e.queue.events[0])) {
+		return e.due.pop()
+	}
+	return e.queue.pop()
 }
 
 // RunUntil processes events with timestamps <= until, then advances the
@@ -88,7 +113,7 @@ func (e *Engine) Step() bool {
 // they fall within the horizon. It returns the number of events processed.
 func (e *Engine) RunUntil(until time.Duration) int {
 	processed := 0
-	for len(e.queue.events) > 0 && e.queue.events[0].at <= until {
+	for at, ok := e.PeekTime(); ok && at <= until; at, ok = e.PeekTime() {
 		e.Step()
 		processed++
 	}
@@ -104,6 +129,9 @@ func (e *Engine) RunUntil(until time.Duration) int {
 //
 //rstorm:hotpath
 func (e *Engine) PeekTime() (time.Duration, bool) {
+	if e.due.n > 0 {
+		return e.now, true
+	}
 	if len(e.queue.events) == 0 {
 		return 0, false
 	}
@@ -121,7 +149,7 @@ func (e *Engine) PeekTime() (time.Duration, bool) {
 // processes nothing and leaves the clock unchanged.
 func (e *Engine) AdvanceTo(horizon time.Duration) int {
 	processed := 0
-	for len(e.queue.events) > 0 && e.queue.events[0].at < horizon {
+	for at, ok := e.PeekTime(); ok && at < horizon; at, ok = e.PeekTime() {
 		e.Step()
 		processed++
 	}
@@ -138,21 +166,21 @@ type PendingEvent struct {
 }
 
 // TakePending removes and returns every queued event in (time, scheduling)
-// order, leaving the queue empty and the clock unchanged. A sharded
+// order, leaving both tiers empty and the clock unchanged. A sharded
 // simulator uses it between epochs to re-home pending events after task
 // placements change; rescheduling the returned events in slice order onto
 // any Engine preserves their relative firing order.
 func (e *Engine) TakePending() []PendingEvent {
-	out := make([]PendingEvent, 0, len(e.queue.events))
-	for len(e.queue.events) > 0 {
-		ev := e.queue.pop()
+	out := make([]PendingEvent, 0, e.Pending())
+	for e.Pending() > 0 {
+		ev := e.pop()
 		out = append(out, PendingEvent{At: ev.at, Ev: ev.ev})
 	}
 	return out
 }
 
-// event is one queued Event and its heap key, stored by value: 32 bytes
-// on 64-bit platforms.
+// event is one queued Event and its (at, seq) key, stored by value in
+// either tier: 32 bytes on 64-bit platforms.
 type event struct {
 	at  time.Duration
 	seq uint64
@@ -241,4 +269,42 @@ func (q *eventQueue) siftDown(i int) {
 		i = best
 	}
 	es[i] = ev
+}
+
+// dueQueue is the FIFO tier: events due at the current instant, in
+// scheduling order, in a ring buffer whose length is zero or a power of
+// two. It doubles when full, so its length tracks the peak number of due
+// events pending at once, not how many fire at one instant. It repeats
+// the simulator's and pardes' rings because des sits below both.
+type dueQueue struct {
+	buf  []event
+	head int
+	n    int
+}
+
+//rstorm:hotpath
+func (q *dueQueue) push(ev event) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ev
+	q.n++
+}
+
+//rstorm:hotpath
+func (q *dueQueue) pop() event {
+	ev := q.buf[q.head]
+	q.buf[q.head] = event{} // release the Event reference
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return ev
+}
+
+// grow doubles the ring, relinearizing FIFO order from head.
+func (q *dueQueue) grow() {
+	buf := make([]event, max(2*len(q.buf), 8))
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf, q.head = buf, 0
 }

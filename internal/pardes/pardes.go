@@ -125,7 +125,7 @@ func (c *Coordinator) work(w int) {
 }
 
 // advanceBlock is the shard loop: every lane in the block runs its own
-// heap to the horizon.
+// event queue to the horizon.
 //
 //rstorm:hotpath
 func advanceBlock(block []Lane, horizon time.Duration) {

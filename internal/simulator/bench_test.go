@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,9 +10,9 @@ import (
 	"rstorm/internal/topology"
 )
 
-// benchChainTopo is chainTopo for benchmarks (testing.B has no access to
-// the *testing.T helpers above).
-func benchChainTopo(b *testing.B, par int, spoutCost, boltCost time.Duration) *topology.Topology {
+// benchChainTopo is chainTopo for benchmarks and allocation tests (it
+// takes testing.TB, where the helpers in sim_test.go take *testing.T).
+func benchChainTopo(b testing.TB, par int, spoutCost, boltCost time.Duration) *topology.Topology {
 	b.Helper()
 	bld := topology.NewBuilder("chain")
 	bld.SetSpout("spout", par).
@@ -34,7 +35,7 @@ func benchChainTopo(b *testing.B, par int, spoutCost, boltCost time.Duration) *t
 // warm-up point where the event/tuple/tree free lists have grown to the
 // steady population, so the measured region is the amortized-zero régime
 // the //rstorm:hotpath annotations claim.
-func benchSim(b *testing.B, topo *topology.Topology, cfg Config) (*Simulation, time.Duration) {
+func benchSim(b testing.TB, topo *topology.Topology, cfg Config) (*Simulation, time.Duration) {
 	b.Helper()
 	c, err := cluster.Emulab12()
 	if err != nil {
@@ -62,16 +63,67 @@ func benchSim(b *testing.B, topo *topology.Topology, cfg Config) (*Simulation, t
 	return sim, warm
 }
 
+// steadyStateConfig and overloadConfig are the workloads of the tuple-path
+// benchmarks, shared with TestTuplePathAllocs.
+func steadyStateConfig(tb testing.TB) (*topology.Topology, Config) {
+	return benchChainTopo(tb, 2, 200*time.Microsecond, 100*time.Microsecond), Config{
+		Duration:      24 * time.Hour,
+		MetricsWindow: time.Second,
+	}
+}
+
+func overloadConfig(tb testing.TB) (*topology.Topology, Config) {
+	return benchChainTopo(tb, 2, 50*time.Microsecond, 400*time.Microsecond), Config{
+		Duration:      24 * time.Hour,
+		MetricsWindow: time.Second,
+		QueueCapacity: 4,
+		TupleTimeout:  500 * time.Millisecond,
+	}
+}
+
+// TestTuplePathAllocs enforces in go test what the benchmarks below
+// report: once warm, the one-lane tuple path makes 0 allocations per
+// 100 ms RunTo slice, which over 100 slices means fewer than 100 mallocs.
+// Per-tuple work would malloc hundreds of thousands of times. What does
+// remain is metrics.Windowed growing its per-window bucket slices: each
+// series doubles a few times as the run crosses new windows.
+func TestTuplePathAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		config func(testing.TB) (*topology.Topology, Config)
+	}{
+		{"steady-state", steadyStateConfig},
+		{"overload", overloadConfig},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, cfg := tc.config(t)
+			sim, now := benchSim(t, topo, cfg)
+			const slices, slice = 100, 100 * time.Millisecond
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < slices; i++ {
+				now += slice
+				if err := sim.RunTo(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			mallocs := after.Mallocs - before.Mallocs
+			t.Logf("%d mallocs over %d slices (%d metrics windows)", mallocs, slices, slices*slice/cfg.MetricsWindow)
+			if mallocs >= slices {
+				t.Fatalf("%d mallocs over %d RunTo slices: the tuple path allocates", mallocs, slices)
+			}
+		})
+	}
+}
+
 // BenchmarkTuplePathSteadyState drives the full annotated tuple path —
 // spoutCycle/spoutFire → routeOutputs → deliver/enqueueAt →
 // boltTry/boltFire → recordSink/completeTree, plus the event/tuple/tree
 // pools and bounded queues underneath — for 100ms simulated slices.
 func BenchmarkTuplePathSteadyState(b *testing.B) {
-	topo := benchChainTopo(b, 2, 200*time.Microsecond, 100*time.Microsecond)
-	sim, now := benchSim(b, topo, Config{
-		Duration:      24 * time.Hour,
-		MetricsWindow: time.Second,
-	})
+	topo, cfg := steadyStateConfig(b)
+	sim, now := benchSim(b, topo, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,13 +138,8 @@ func BenchmarkTuplePathSteadyState(b *testing.B) {
 // behind tiny queues keeps them full, so every slice also exercises the
 // overflow branches (addWaiter, dropTuple → failTuple, tree failure).
 func BenchmarkTuplePathOverload(b *testing.B) {
-	topo := benchChainTopo(b, 2, 50*time.Microsecond, 400*time.Microsecond)
-	sim, now := benchSim(b, topo, Config{
-		Duration:      24 * time.Hour,
-		MetricsWindow: time.Second,
-		QueueCapacity: 4,
-		TupleTimeout:  500 * time.Millisecond,
-	})
+	topo, cfg := overloadConfig(b)
+	sim, now := benchSim(b, topo, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

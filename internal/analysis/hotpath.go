@@ -8,9 +8,9 @@ import (
 )
 
 // NewHotpath builds the hot-path allocation analyzer. Functions annotated
-// with a //rstorm:hotpath comment (DES heap operations, tuple delivery
-// and completion, histogram recording, edge counters, queue-byte memory
-// accounting) carry the repository's "N integer adds per tuple" claims;
+// with a //rstorm:hotpath comment (DES event-queue operations, tuple
+// delivery and completion, histogram recording, edge counters, queue-byte
+// memory accounting) carry the repository's "N integer adds per tuple" claims;
 // the analyzer rejects constructs that put an allocation, a write
 // barrier, or a dynamic dispatch setup on such a path:
 //

@@ -4,26 +4,31 @@
 // seeded RNG is fully reproducible.
 //
 // There is one event representation: a value implementing Event, queued
-// by ScheduleEvent or ScheduleEventAt. The queue has two tiers holding
-// the same event values. An event due later than the current instant
-// goes on a hand-rolled 4-ary min-heap stored inline in a single slice:
-// no per-event boxing, no interface round-trips through container/heap,
-// and no pointer chasing during sift operations. An event due at the
-// current instant (zero or negative delay, or a past absolute time) skips
-// the heap and is appended to a FIFO ring. Both tiers recycle their slots
-// in place, so once each has grown to the simulation's peak population,
-// scheduling is allocation-free.
+// by ScheduleEvent or ScheduleEventAt. The queue is one monotone radix
+// heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) keyed by the event's
+// time, which serves because the clock never runs backwards. last is the
+// key of the latest pop, and the invariant is last ≤ now ≤ every pending
+// key. Bucket 0 holds the keys equal to last, which is where events due
+// now land; bucket b ≥ 1 holds the keys whose highest bit differing from
+// last is bit b-1. A push is O(1) and nothing is ever sifted. When bucket
+// 0 runs dry, pop makes the lowest non-empty bucket's minimum the new last
+// and relinks that bucket's events into lower buckets, so an event moves
+// at most once per bit of its key, and only down.
 //
-// The tiers are one (at, seq) order because of a clock invariant: every
-// event in the FIFO is due at exactly the current time, and the clock
-// never moves past a pending event, so it cannot leave one behind in the
-// FIFO. The heap may also hold events at the current time, but those were
-// scheduled before the clock reached it, so their seq is smaller than any
-// FIFO entry's. Taking the FIFO head unless the heap's top is earlier by
-// (at, seq) therefore fires events in exactly the order one heap would.
+// Every event lives in one slab of slots threaded into the buckets' FIFO
+// lists and a free list, so scheduling allocates nothing once the slab has
+// grown to the simulation's peak pending population, and a redistribution
+// relinks slots without copying or growing anything.
+//
+// The order is exactly (time, scheduling order). Events with equal keys
+// always share a bucket, each bucket is appended in scheduling order, and
+// a redistribution walks its bucket in order into buckets that are empty,
+// so equal-time events never overtake one another.
 package des
 
 import (
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -35,15 +40,13 @@ type Event interface {
 	Fire()
 }
 
-// Engine owns the virtual clock and the pending events: a heap of future
-// events and a FIFO of events due now (see the package doc for why the
-// two fire in one (at, seq) order). It is not safe for concurrent use: a
-// simulation runs single-threaded, which is what makes it deterministic.
+// Engine owns the virtual clock and the pending events, held in one radix
+// queue (see the package doc for its invariant). It is not safe for
+// concurrent use: a simulation runs single-threaded, which is what makes
+// it deterministic.
 type Engine struct {
 	now   time.Duration
-	seq   uint64
-	queue eventQueue
-	due   dueQueue
+	queue radixQueue
 }
 
 // NewEngine returns an Engine with the clock at zero.
@@ -55,32 +58,29 @@ func NewEngine() *Engine {
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue.events) + e.due.n }
+func (e *Engine) Pending() int { return e.queue.n }
 
-// ScheduleEvent queues an event after delay. Negative delays are
-// clamped to zero. The Engine holds only the interface value; callers own
-// the event's storage and may pool it once Fire has run.
+// ScheduleEvent queues an event after delay. Negative delays are clamped
+// to zero, and a delay past the largest time.Duration saturates there
+// instead of wrapping. The Engine holds only the interface value; callers
+// own the event's storage and may pool it once Fire has run.
 //
 //rstorm:hotpath
 func (e *Engine) ScheduleEvent(delay time.Duration, ev Event) {
-	if delay < 0 {
-		delay = 0
+	at := e.now + delay
+	if delay > math.MaxInt64-e.now {
+		at = math.MaxInt64
 	}
-	e.ScheduleEventAt(e.now+delay, ev)
+	e.ScheduleEventAt(at, ev)
 }
 
-// ScheduleEventAt queues an event at an absolute virtual time. Times
-// in the past are clamped to the current time, and an event due now
-// joins the FIFO instead of the heap.
+// ScheduleEventAt queues an event at an absolute virtual time. Times in
+// the past are clamped to the current time, so no key is ever below the
+// clock.
 //
 //rstorm:hotpath
 func (e *Engine) ScheduleEventAt(at time.Duration, ev Event) {
-	e.seq++
-	if at <= e.now {
-		e.due.push(event{at: e.now, seq: e.seq, ev: ev})
-		return
-	}
-	e.queue.push(event{at: at, seq: e.seq, ev: ev})
+	e.queue.push(max(at, e.now), ev)
 }
 
 // Step runs the earliest pending event, advancing the clock to its
@@ -88,24 +88,13 @@ func (e *Engine) ScheduleEventAt(at time.Duration, ev Event) {
 //
 //rstorm:hotpath
 func (e *Engine) Step() bool {
-	if e.Pending() == 0 {
+	if e.queue.n == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
-	ev.ev.Fire()
+	at, ev := e.queue.pop()
+	e.now = at
+	ev.Fire()
 	return true
-}
-
-// pop removes the earliest pending event by (at, seq): the FIFO head
-// unless the heap's top is due first. At least one event must be pending.
-//
-//rstorm:hotpath
-func (e *Engine) pop() event {
-	if e.due.n > 0 && (len(e.queue.events) == 0 || e.due.buf[e.due.head].before(&e.queue.events[0])) {
-		return e.due.pop()
-	}
-	return e.queue.pop()
 }
 
 // RunUntil processes events with timestamps <= until, then advances the
@@ -124,18 +113,17 @@ func (e *Engine) RunUntil(until time.Duration) int {
 }
 
 // PeekTime returns the timestamp of the earliest pending event without
-// firing it, and whether any event is pending. A conservative parallel
-// loop uses it to pick the next safe window without disturbing the queue.
+// firing it, and whether any event is pending. It is O(1): the lowest
+// non-empty bucket's minimum. A conservative parallel loop uses it to pick
+// the next safe window without disturbing the queue.
 //
 //rstorm:hotpath
 func (e *Engine) PeekTime() (time.Duration, bool) {
-	if e.due.n > 0 {
-		return e.now, true
-	}
-	if len(e.queue.events) == 0 {
+	q := &e.queue
+	if q.mask == 0 {
 		return 0, false
 	}
-	return e.queue.events[0].at, true
+	return time.Duration(q.min[bits.TrailingZeros64(q.mask)&63]), true
 }
 
 // AdvanceTo processes events with timestamps strictly before horizon, then
@@ -166,145 +154,121 @@ type PendingEvent struct {
 }
 
 // TakePending removes and returns every queued event in (time, scheduling)
-// order, leaving both tiers empty and the clock unchanged. A sharded
+// order, leaving the queue empty and the clock unchanged. Popping moved the
+// queue's last key up to the latest event's time without firing anything,
+// so last is rebased to the clock, where later pushes may land. A sharded
 // simulator uses it between epochs to re-home pending events after task
 // placements change; rescheduling the returned events in slice order onto
 // any Engine preserves their relative firing order.
 func (e *Engine) TakePending() []PendingEvent {
-	out := make([]PendingEvent, 0, e.Pending())
-	for e.Pending() > 0 {
-		ev := e.pop()
-		out = append(out, PendingEvent{At: ev.at, Ev: ev.ev})
+	out := make([]PendingEvent, 0, e.queue.n)
+	for e.queue.n > 0 {
+		at, ev := e.queue.pop()
+		out = append(out, PendingEvent{At: at, Ev: ev})
 	}
+	e.queue.last = uint64(e.now)
 	return out
 }
 
-// event is one queued Event and its (at, seq) key, stored by value in
-// either tier: 32 bytes on 64-bit platforms.
-type event struct {
-	at  time.Duration
-	seq uint64
-	ev  Event
+// slot is one event in the slab: its time, its Event, and the index of the
+// next slot in its bucket or in the free list. 32 bytes on 64-bit
+// platforms.
+type slot struct {
+	at   time.Duration
+	ev   Event
+	next int32
 }
 
-// before reports strict heap order. seq strictly increases across
-// ScheduleEvent* calls, so (at, seq) is a total order and equal-timestamp
-// events pop in exact FIFO scheduling order regardless of heap shape.
+// radixQueue is the monotone radix heap described in the package doc.
+// Bucket b is non-empty iff bit b of mask is set; it then runs from
+// head[b] to tail[b] through the slots' next links, and its least key is
+// min[b]. A list ends at its tail, and the free list's length is
+// len(slots) - n, so no index needs a nil value and the zero value is an
+// empty queue.
+type radixQueue struct {
+	slots []slot
+	free  int32 // head of the free list, when len(slots) > n
+	n     int   // pending events
+	last  uint64
+	mask  uint64
+	head  [64]int32
+	tail  [64]int32
+	min   [64]uint64
+}
+
+// push files an event at a time no earlier than last, reusing a free slot
+// when there is one.
 //
 //rstorm:hotpath
-func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+func (q *radixQueue) push(at time.Duration, ev Event) {
+	i := q.free
+	if q.n < len(q.slots) {
+		q.free = q.slots[i].next
+	} else {
+		i = int32(len(q.slots))
+		q.slots = append(q.slots, slot{})
 	}
-	return a.seq < b.seq
-}
-
-// eventQueue is a 4-ary min-heap of event values ordered by (at, seq).
-// 4-ary beats binary here: sift-down depth halves. The four children of a
-// node span 128 B, but they start one 32 B slot into a 64 B-aligned block,
-// so comparing them touches three cache lines, not two.
-type eventQueue struct {
-	events []event
-}
-
-//rstorm:hotpath
-func (q *eventQueue) push(ev event) {
-	q.events = append(q.events, ev)
-	q.siftUp(len(q.events) - 1)
-}
-
-//rstorm:hotpath
-func (q *eventQueue) pop() event {
-	es := q.events
-	top := es[0]
-	n := len(es) - 1
-	es[0] = es[n]
-	es[n] = event{} // release the Event reference; capacity is retained
-	q.events = es[:n]
-	if n > 1 {
-		q.siftDown(0)
-	}
-	return top
-}
-
-//rstorm:hotpath
-func (q *eventQueue) siftUp(i int) {
-	es := q.events
-	ev := es[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.before(&es[parent]) {
-			break
-		}
-		es[i] = es[parent]
-		i = parent
-	}
-	es[i] = ev
-}
-
-//rstorm:hotpath
-func (q *eventQueue) siftDown(i int) {
-	es := q.events
-	n := len(es)
-	ev := es[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if es[c].before(&es[best]) {
-				best = c
-			}
-		}
-		if !es[best].before(&ev) {
-			break
-		}
-		es[i] = es[best]
-		i = best
-	}
-	es[i] = ev
-}
-
-// dueQueue is the FIFO tier: events due at the current instant, in
-// scheduling order, in a ring buffer whose length is zero or a power of
-// two. It doubles when full, so its length tracks the peak number of due
-// events pending at once, not how many fire at one instant. It repeats
-// the simulator's and pardes' rings because des sits below both.
-type dueQueue struct {
-	buf  []event
-	head int
-	n    int
-}
-
-//rstorm:hotpath
-func (q *dueQueue) push(ev event) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ev
 	q.n++
+	q.slots[i].at, q.slots[i].ev = at, ev
+	q.link(i, uint64(at))
 }
 
+// link appends slot i, holding key k, to the tail of its bucket. Keys are
+// below 1<<63, so the bucket index is at most 63; masking it with 63 says
+// so to the compiler, which then drops the shift and bounds checks.
+//
 //rstorm:hotpath
-func (q *dueQueue) pop() event {
-	ev := q.buf[q.head]
-	q.buf[q.head] = event{} // release the Event reference
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return ev
+func (q *radixQueue) link(i int32, k uint64) {
+	b := bits.Len64(k^q.last) & 63
+	if q.mask&(1<<b) == 0 {
+		q.mask |= 1 << b
+		q.head[b], q.min[b] = i, k
+	} else {
+		q.slots[q.tail[b]].next = i
+		q.min[b] = min(q.min[b], k)
+	}
+	q.tail[b] = i
 }
 
-// grow doubles the ring, relinearizing FIFO order from head.
-func (q *dueQueue) grow() {
-	buf := make([]event, max(2*len(q.buf), 8))
-	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+// pop removes the earliest pending event by (time, scheduling order) and
+// frees its slot. At least one event must be pending.
+//
+//rstorm:hotpath
+func (q *radixQueue) pop() (time.Duration, Event) {
+	if q.mask&1 == 0 {
+		q.redistribute()
 	}
-	q.buf, q.head = buf, 0
+	i := q.head[0]
+	if i == q.tail[0] {
+		q.mask &^= 1
+	} else {
+		q.head[0] = q.slots[i].next
+	}
+	s := &q.slots[i]
+	at, ev := s.at, s.ev
+	s.ev = nil // release the Event reference; the slot is retained
+	s.next, q.free = q.free, i
+	q.n--
+	return at, ev
+}
+
+// redistribute empties the lowest non-empty bucket b into the buckets
+// below it: the new last is the bucket's minimum, so every key in it now
+// differs from last below bit b-1, and the minimum lands in bucket 0. The
+// buckets below b are empty, so relinking in list order keeps each one in
+// scheduling order.
+//
+//rstorm:hotpath
+func (q *radixQueue) redistribute() {
+	b := bits.TrailingZeros64(q.mask) & 63 // mask is not zero
+	q.mask &^= 1 << b
+	q.last = q.min[b]
+	for i, end := q.head[b], q.tail[b]; ; {
+		next := q.slots[i].next
+		q.link(i, uint64(q.slots[i].at))
+		if i == end {
+			return
+		}
+		i = next
+	}
 }

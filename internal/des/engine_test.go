@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -134,15 +135,15 @@ func TestStepOnEmpty(t *testing.T) {
 	}
 }
 
-// TestEventSlotSize pins the heap slot at 32 bytes on 64-bit platforms:
-// every push and sift moves whole slots, so a field added to event is paid
-// for on every tuple hop.
+// TestEventSlotSize pins the slab slot at 32 bytes on 64-bit platforms:
+// every push writes a slot and every pop and redistribution reads one, so
+// a field added to slot is paid for on every tuple hop.
 func TestEventSlotSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("slot size is pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(event{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(slot{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(slot{}) = %d, want 32", got)
 	}
 }
 
@@ -182,10 +183,11 @@ func TestTypedEventsInterleaveFIFOWithClosures(t *testing.T) {
 	}
 }
 
-// TestHeapFIFOUnderRandomInterleaving is the property test for the 4-ary
-// heap: under randomized interleaved schedule/Step sequences with heavily
-// colliding timestamps, events sharing a timestamp must fire in exact
-// scheduling order, and timestamps must be globally non-decreasing.
+// TestHeapFIFOUnderRandomInterleaving is the property test for the radix
+// queue's buckets: under randomized interleaved schedule/Step sequences
+// with heavily colliding timestamps, events sharing a timestamp must fire
+// in exact scheduling order, and timestamps must be globally
+// non-decreasing.
 func TestHeapFIFOUnderRandomInterleaving(t *testing.T) {
 	type fired struct {
 		at  time.Duration
@@ -407,5 +409,31 @@ func TestQuickRunUntilProcessesExactlyHorizonEvents(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScheduleEventSaturates: a delay that would carry the clock past the
+// largest time.Duration saturates there instead of wrapping negative and
+// clamping to now, so the event fires last, not first.
+func TestScheduleEventSaturates(t *testing.T) {
+	e := NewEngine()
+	e.AdvanceTo(time.Second)
+	var order []int
+	e.ScheduleEvent(math.MaxInt64, &recordingEvent{id: 1, out: &order})
+	e.ScheduleEvent(math.MaxInt64-time.Second, &recordingEvent{id: 2, out: &order})
+	e.ScheduleEvent(time.Second, &recordingEvent{id: 3, out: &order})
+	if at, ok := e.PeekTime(); !ok || at != 2*time.Second {
+		t.Fatalf("PeekTime = %v, %v, want 2s, true", at, ok)
+	}
+	drain(e)
+	if len(order) != 3 || order[0] != 3 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("order = %v, want [3 1 2]", order)
+	}
+	if e.Now() != math.MaxInt64 {
+		t.Fatalf("Now = %v, want the largest time.Duration", e.Now())
+	}
+	e.ScheduleEvent(time.Nanosecond, &recordingEvent{id: 4, out: &order})
+	if at, ok := e.PeekTime(); !ok || at != math.MaxInt64 {
+		t.Fatalf("at the largest time: PeekTime = %v, %v", at, ok)
 	}
 }

@@ -13,7 +13,7 @@ type modelEntry struct {
 	id  int
 }
 
-// refModel is the obviously-correct engine the two-tier queue must match:
+// refModel is the obviously-correct engine the radix queue must match:
 // one unsorted list, searched linearly for the least (at, seq).
 type refModel struct {
 	now     time.Duration
@@ -91,29 +91,35 @@ func (p *modelProgram) check(where string) {
 
 // scheduleRandom queues one new event on the engine and the model: at
 // zero, negative or positive delay, or at a past, present or future
-// absolute time. sameInstant restricts it to times that clamp to now.
+// absolute time. Future times are a few milliseconds away, so equal
+// timestamps collide; or 2^k - 1, 2^k or 2^k + 1 ns past the clock for k up
+// to 40, or at an absolute 2^k - 1, 2^k or 2^k + 1 ns for k up to 62, so
+// keys straddle the bit boundaries that pick a bucket; or anywhere up to
+// 1<<62. sameInstant restricts it to times that clamp to now.
 func (p *modelProgram) scheduleRandom(sameInstant bool) {
 	id := p.nextID
 	p.nextID++
 	ev := &modelEvent{p: p, id: id}
 	now := p.model.now
-	var delay time.Duration
-	switch k := p.rng.Intn(4); {
-	case k == 0:
-		delay = 0
+	at := now
+	switch k := p.rng.Intn(8); {
 	case k == 1:
-		delay = -time.Duration(p.rng.Intn(3)+1) * time.Millisecond
-	case sameInstant:
-		delay = 0
+		at -= time.Duration(p.rng.Intn(3)+1) * time.Millisecond
+	case k == 0, sameInstant:
+	case k < 5:
+		at += time.Duration(p.rng.Intn(3)+1) * time.Millisecond
+	case k == 5:
+		at += 1<<p.rng.Intn(41) + time.Duration(p.rng.Intn(3)-1)
+	case k == 6:
+		at = 1<<p.rng.Intn(63) + time.Duration(p.rng.Intn(3)-1)
 	default:
-		// Few distinct future times, so heap and FIFO entries collide.
-		delay = time.Duration(p.rng.Intn(3)+1) * time.Millisecond
+		at = time.Duration(p.rng.Int63n(1<<62 + 1))
 	}
-	p.model.schedule(now+delay, id)
+	p.model.schedule(at, id)
 	if p.rng.Intn(2) == 0 {
-		p.eng.ScheduleEvent(delay, ev)
+		p.eng.ScheduleEvent(at-now, ev)
 	} else {
-		p.eng.ScheduleEventAt(now+delay, ev)
+		p.eng.ScheduleEventAt(at, ev)
 	}
 }
 
@@ -127,8 +133,8 @@ func (p *modelProgram) fire(id int) {
 	p.model.now = want.at
 	p.fired++
 	p.check("in Fire")
-	// Children: same-instant ones land in the FIFO behind anything the
-	// heap holds at this instant; future ones go on the heap.
+	// Children: same-instant ones queue behind everything already due at
+	// this instant; future ones may share a bucket with older events.
 	if p.budget > 0 {
 		p.budget--
 		for n := p.rng.Intn(3); n > 0; n-- {
@@ -172,13 +178,14 @@ func (p *modelProgram) takeAndReplay() {
 	}
 }
 
-// TestTwoTierOrderMatchesModel is the model-based test for the heap and
-// the due-now FIFO together: random programs of ScheduleEvent and
-// ScheduleEventAt (zero, negative and past times included), handlers that
-// schedule same-instant and future children, interleaved Step, AdvanceTo
-// and RunUntil, and mid-run TakePending replays must fire exactly the
-// model's (clamped at, seq) order, and Now, PeekTime and Pending must
-// agree with the model after every operation.
+// TestTwoTierOrderMatchesModel is the model-based test for the radix
+// queue, its due-now bucket 0 and its redistributions together: random
+// programs of ScheduleEvent and ScheduleEventAt (zero, negative, past and
+// bit-straddling times included), handlers that schedule same-instant and
+// future children, interleaved Step, AdvanceTo and RunUntil, and mid-run
+// TakePending replays must fire exactly the model's (clamped at, seq)
+// order, and Now, PeekTime and Pending must agree with the model after
+// every operation.
 func TestTwoTierOrderMatchesModel(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		p := &modelProgram{
@@ -252,11 +259,11 @@ func (ev *rearmEvent) Fire() {
 	}
 }
 
-// TestDueTierBounded: the FIFO's length tracks the due events pending at
-// once, not how many fire at one instant. Two events re-arming each other
-// at delay 0 fire 100k times at t = 1s with at most two due events
-// pending, so the ring must stay at its first size. A slice that only
-// resets its head when empty would grow here without bound.
+// TestDueTierBounded: the slab's length tracks the events pending at once,
+// not how many fire at one instant. Two events re-arming each other at
+// delay 0 fire 100k times at t = 1s with at most three events pending, so
+// the slab must stay at its first size. A due-now list that only resets
+// its head when empty would grow here without bound.
 func TestDueTierBounded(t *testing.T) {
 	e := NewEngine()
 	e.AdvanceTo(time.Second)
@@ -265,15 +272,15 @@ func TestDueTierBounded(t *testing.T) {
 	a.partner, b.partner = b, a
 	e.ScheduleEvent(0, a)
 	e.ScheduleEvent(0, b)
-	e.ScheduleEvent(time.Second, eventFunc(func() {})) // a heap entry to pass
+	e.ScheduleEvent(time.Second, eventFunc(func() {})) // a future event to pass
 	fired := 0
 	for left > 0 {
 		if !e.Step() {
 			t.Fatal("queue ran dry with re-arms left")
 		}
 		fired++
-		if got := len(e.due.buf); got > 8 {
-			t.Fatalf("after %d firings the due ring holds %d slots for %d pending", fired, got, e.due.n)
+		if got := len(e.queue.slots); got > 8 {
+			t.Fatalf("after %d firings the slab holds %d slots for %d pending", fired, got, e.Pending())
 		}
 	}
 	if e.Now() != time.Second {
@@ -289,8 +296,8 @@ func TestDueTierBounded(t *testing.T) {
 }
 
 // TestDueTierAllocationFree: once warm, scheduling and firing allocate
-// nothing, whether events go through the FIFO alone or half through the
-// FIFO and half through the heap.
+// nothing, whether every event is due now (bucket 0 alone) or half are
+// due later and reach bucket 0 through redistributions.
 func TestDueTierAllocationFree(t *testing.T) {
 	ev := &countEvent{}
 	t.Run("same-instant", func(t *testing.T) {
@@ -324,4 +331,63 @@ func TestDueTierAllocationFree(t *testing.T) {
 			t.Fatalf("half same-instant, half future: %v allocs/op, want 0", n)
 		}
 	})
+}
+
+// mixEvent re-arms itself on every firing until the shared count runs
+// out, with a delay drawn from paper-chain's event mix: due now half the
+// time, otherwise 1, 16, 200 or 500 µs.
+type mixEvent struct {
+	eng  *Engine
+	x    *uint64 // shared LCG state
+	left *int
+}
+
+func (ev *mixEvent) Fire() {
+	if *ev.left == 0 {
+		return
+	}
+	*ev.left--
+	*ev.x = *ev.x*6364136223846793005 + 1442695040888963407
+	var delay time.Duration // top three bits 0-3: due now
+	switch *ev.x >> 61 {
+	case 4:
+		delay = time.Microsecond
+	case 5:
+		delay = 16 * time.Microsecond
+	case 6:
+		delay = 200 * time.Microsecond
+	case 7:
+		delay = 500 * time.Microsecond
+	}
+	ev.eng.ScheduleEvent(delay, ev)
+}
+
+// TestQueueStorageTracksPending: the queue's storage tracks the peak
+// number of pending events, however far the clock runs. 64 self-re-arming
+// events fire 20M times on paper-chain's mix, which runs the clock past
+// 2^34 ns (17 s), so every bucket below 35 empties and refills many times
+// over. The slab's capacity must stay within twice the peak pending count;
+// a queue that gave each bucket its own slice would end up with room for
+// the whole population in every bucket a cascade passes through.
+func TestQueueStorageTracksPending(t *testing.T) {
+	e := NewEngine()
+	x, left := uint64(1), 20_000_000
+	events := make([]mixEvent, 64)
+	for i := range events {
+		events[i] = mixEvent{eng: e, x: &x, left: &left}
+		events[i].Fire()
+	}
+	peak := e.Pending()
+	for e.Step() {
+		peak = max(peak, e.Pending())
+	}
+	if left != 0 {
+		t.Fatalf("queue ran dry with %d re-arms left", left)
+	}
+	if e.Now() < 1<<34 {
+		t.Fatalf("clock stopped at %v, want past 2^34 ns", e.Now())
+	}
+	if c := cap(e.queue.slots); c > 2*peak {
+		t.Fatalf("slab capacity %d for a peak of %d pending events", c, peak)
+	}
 }

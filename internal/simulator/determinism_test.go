@@ -70,8 +70,8 @@ func runSeeded(t *testing.T, seed int64, failNode bool) *Result {
 
 // TestSeededRunsAreIdentical is the DES determinism regression: the same
 // seed must produce identical Result structs run-to-run — the free lists,
-// the typed event records, and the 4-ary heap must not introduce any
-// ordering or accounting drift.
+// the typed event records, and the radix event queue must not introduce
+// any ordering or accounting drift.
 func TestSeededRunsAreIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

@@ -213,7 +213,7 @@ func TestFailoverRestartsCrashedTasks(t *testing.T) {
 	if err := sim.AddTopology(topo, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.FailNodeAt(victim, 2200*time.Millisecond); err != nil {
+	if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: victim, At: 2200 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	loop := NewLoop(sim, c, core.NewResourceAwareScheduler(), LoopConfig{})

@@ -260,25 +260,24 @@ func (l *Loop) arbitrate(t time.Duration) ([]RebalanceEvent, error) {
 			fmt.Sprintf("trigger=%s planned=%d cap=%d", cl.trigger, len(moves), moveCap))
 		migrated := 0
 		if len(moves) > 0 {
-			// Reassign reports how many tasks actually moved (a plan
-			// may relocate dead tasks, which have nothing to migrate)
-			// and normalizes the assignment to what it applied. A
-			// failover plan instead goes through ReassignRestarting:
-			// crash-dead tasks that received a forced placement (a Move
-			// — its absence means no live node could fit the task, which
-			// then stays dead and re-arms the trigger) are revived there.
+			// ReassignRestarting reports how many tasks actually moved
+			// or restarted (a plan may relocate dead tasks, which have
+			// nothing to migrate) and normalizes the assignment to what
+			// it applied. Only a failover plan restarts: crash-dead tasks
+			// that received a forced placement (a Move — its absence
+			// means no live node could fit the task, which then stays
+			// dead and re-arms the trigger) are revived there.
+			var restart map[int]bool
 			if cl.trigger == TriggerFailover {
 				crashed := l.ctrl.Profiler().CrashedTasks(cl.name)
-				restart := make(map[int]bool, len(moves))
+				restart = make(map[int]bool, len(moves))
 				for _, m := range moves {
 					if crashed[m.TaskID] {
 						restart[m.TaskID] = true
 					}
 				}
-				migrated, err = l.sim.ReassignRestarting(cl.name, next, restart)
-			} else {
-				migrated, err = l.sim.Reassign(cl.name, next)
 			}
+			migrated, err = l.sim.ReassignRestarting(cl.name, next, restart)
 			if err != nil {
 				return nil, fmt.Errorf("applying rebalance of %q: %w", cl.name, err)
 			}
@@ -297,8 +296,8 @@ func (l *Loop) arbitrate(t time.Duration) ([]RebalanceEvent, error) {
 		}
 		if l.cfg.MoveBudget > 0 {
 			// The budget bounds real disruption: debit what actually
-			// migrated (Reassign may normalize away planned relocations of
-			// tasks that turn out dead, which cost nothing).
+			// migrated (ReassignRestarting may normalize away planned
+			// relocations of tasks that turn out dead, which cost nothing).
 			remaining -= migrated
 		}
 		// Cooldown starts either way: a plan with no moves means the

@@ -7,6 +7,7 @@ import (
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/faults"
 	"rstorm/internal/metrics"
 	"rstorm/internal/simulator"
 	"rstorm/internal/topology"
@@ -160,7 +161,7 @@ func TestLoopSurvivesNodeFailure(t *testing.T) {
 	// the cluster.
 	nodes := a.NodesUsed()
 	victim := nodes[len(nodes)-1]
-	if err := sim.FailNodeAt(victim, 700*time.Millisecond); err != nil {
+	if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: victim, At: 700 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	loop := NewLoop(sim, c, sched, LoopConfig{})

@@ -68,10 +68,10 @@ func WithJournal(fn func() *trace.Journal) StatServerOption {
 	return func(s *StatisticServer) { s.journal = fn }
 }
 
-// WithLatency attaches a latency-summary source (typically the
-// simulator's Simulation.LatencySummaries) to the /latency route and the
-// latency summaries of /metrics. The callback may return nil (histograms
-// off), which serves 404 on /latency.
+// WithLatency attaches a source of complete-tree latency summaries, keyed
+// by topology name, to the /latency route and the latency summaries of
+// /metrics. The callback may return nil (histograms off), which serves
+// 404 on /latency.
 func WithLatency(fn func() map[string]trace.Summary) StatServerOption {
 	return func(s *StatisticServer) { s.latency = fn }
 }

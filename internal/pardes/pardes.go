@@ -134,12 +134,14 @@ func advanceBlock(block []Lane, horizon time.Duration) {
 	}
 }
 
-// Ring is a growable FIFO inbox for cross-lane messages. It is
-// single-producer/single-consumer by phase, not by locking: during a
-// window exactly one lane pushes, and at the barrier exactly the
-// coordinator pops — the Advance barrier itself is the fence between the
-// phases, so the hot path carries no atomics. Steady state is
-// allocation-free: capacity is retained across windows.
+// Ring is a growable FIFO on a circular buffer: the inbox for cross-lane
+// messages, and the simulator's task queues, waiter lists and link
+// queues. It takes no locks. As an inbox it is single-producer/
+// single-consumer by phase: during a window exactly one lane pushes, and
+// at the barrier exactly the coordinator pops — the Advance barrier
+// itself is the fence between the phases, so the hot path carries no
+// atomics. Steady state is allocation-free: capacity is retained across
+// windows.
 type Ring[T any] struct {
 	buf  []T
 	head int
@@ -153,6 +155,8 @@ func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
+	// Compare-and-wrap instead of modulo: this runs per tuple hop, and an
+	// integer divide would be the most expensive step in it.
 	i := r.head + r.n
 	if i >= len(r.buf) {
 		i -= len(r.buf)
@@ -182,9 +186,14 @@ func (r *Ring[T]) Pop() T {
 //rstorm:hotpath
 func (r *Ring[T]) Len() int { return r.n }
 
-// grow doubles capacity, relinearizing the queue.
+// grow doubles capacity from a first buffer of 8, relinearizing the
+// queue.
 func (r *Ring[T]) grow() {
-	next := make([]T, 2*len(r.buf)+1)
+	n := 2 * len(r.buf)
+	if n == 0 {
+		n = 8
+	}
+	next := make([]T, n)
 	for i := 0; i < r.n; i++ {
 		j := r.head + i
 		if j >= len(r.buf) {

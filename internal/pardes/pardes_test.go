@@ -151,6 +151,23 @@ func TestRingFIFOAndReuse(t *testing.T) {
 	if expect != next {
 		t.Fatalf("popped %d of %d", expect, next)
 	}
+	// Growth relinearizes from any head position, including contents
+	// that wrap past the end of the buffer.
+	for off := 0; off < 20; off++ {
+		var w Ring[int]
+		for i := 0; i < off; i++ {
+			w.Push(i)
+			w.Pop()
+		}
+		for i := 0; i < 40; i++ {
+			w.Push(i)
+		}
+		for i := 0; i < 40; i++ {
+			if got := w.Pop(); got != i {
+				t.Fatalf("head offset %d: Pop = %d, want %d", off, got, i)
+			}
+		}
+	}
 }
 
 // BenchmarkRingSteadyState holds the inbox ring's push/drain cycle at

@@ -7,6 +7,7 @@ import (
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/faults"
 	"rstorm/internal/topology"
 )
 
@@ -57,8 +58,8 @@ func runSeeded(t *testing.T, seed int64, failNode bool) *Result {
 	}
 	if failNode {
 		ids := c.NodeIDs()
-		if err := sim.FailNodeAt(ids[len(ids)-1], 3*time.Second); err != nil {
-			t.Fatalf("FailNodeAt: %v", err)
+		if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: ids[len(ids)-1], At: 3 * time.Second}); err != nil {
+			t.Fatalf("InjectFault: %v", err)
 		}
 	}
 	res, err := sim.Run()

@@ -130,9 +130,15 @@ func (ln *simLane) newEvent(kind uint8) *simEvent {
 	return &simEvent{ln: ln, kind: kind}
 }
 
+// freeEvent returns a record to the pool without clearing it: every
+// scheduler sets each field its kind's handler and eventHome read, and
+// the pointers a pooled record keeps name objects the Simulation holds
+// for its whole life (pooled tuples and trees, tasks, links), so they pin
+// nothing the collector could otherwise free.
+//
 //rstorm:hotpath
 func (ln *simLane) freeEvent(ev *simEvent) {
-	*ev = simEvent{ln: ln}
+	ev.ln = ln
 	ln.eventPool = append(ln.eventPool, ev)
 }
 

@@ -10,16 +10,15 @@ import (
 )
 
 // Fault injection (DESIGN.md §7): the simulator consumes the declarative
-// fault model of internal/faults. Crash kills a node permanently-until-
-// recovered (the old FailNodeAt semantics), Recover returns its capacity
-// and refreezes contention — the node's dead executors stay dead until a
-// control plane re-places or restarts them (ReassignRestarting) — and
-// Slow transiently stretches its service times by a factor.
+// fault model of internal/faults. Crash kills a node until it recovers,
+// Recover returns its capacity and refreezes contention — the node's dead
+// executors stay dead until a control plane re-places or restarts them
+// (ReassignRestarting) — and Slow transiently stretches its service times
+// by a factor.
 //
-// Injection is legal both pre-start (the schedule is installed in Start,
-// exactly as FailNodeAt always was) and mid-run between RunTo epochs,
-// which is what lets an epoch-driven chaos harness script faults against
-// a paused simulation.
+// Injection is legal both pre-start (the schedule is installed in Start)
+// and mid-run between RunTo epochs, which is what lets an epoch-driven
+// chaos harness script faults against a paused simulation.
 
 // FaultRecord is one fault the simulation actually applied, logged in
 // virtual-time order. No-op injections (crashing a dead node, recovering
@@ -43,8 +42,8 @@ type spoutReplay struct {
 }
 
 // InjectFault schedules a fault event. Before Start it joins the pending
-// schedule (identical behavior to the original FailNodeAt path); mid-run
-// it is scheduled onto the live event queue and must not be in the past.
+// schedule, installed in Start; mid-run it is scheduled onto the live
+// event queue and must not be in the past.
 // Simulation satisfies faults.Injector, so a parsed faults.Schedule can
 // be applied wholesale via Schedule.Apply(sim).
 func (s *Simulation) InjectFault(f faults.Fault) error {

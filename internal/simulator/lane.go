@@ -112,7 +112,8 @@ func (ln *simLane) compHome(comp completion) *simLane {
 // so the child's removal would apply first and free a live tree. A
 // placement change therefore folds every pending delta into its tree at
 // the barrier, before any event runs under the new placement and before
-// the moved tasks' queues drain (rehomeEvents, drainMoved).
+// the moved tasks' queues fail (rehomeEvents, then failQueue in
+// ReassignRestarting).
 //
 //rstorm:hotpath
 func (ln *simLane) ackTree(tr *tree, delta int, failed bool) {
@@ -204,9 +205,9 @@ func (s *Simulation) mergeLaneFaults() {
 }
 
 // rehomeEvents redistributes every pending event after task placements
-// changed (Reassign, ReassignRestarting, revive): an event homed by its
-// task — bolt wakeups, arrivals, spout cycles — must fire on the lane that
-// now owns the task, or two lanes would mutate it concurrently. Called
+// changed (ReassignRestarting): an event homed by its task — bolt
+// wakeups, arrivals, spout cycles — must fire on the lane that now owns
+// the task, or two lanes would mutate it concurrently. Called
 // only between epochs with the inboxes drained, so the engines hold the
 // complete pending set. Events are collected from every lane first (in
 // lane index order, each lane's in (time, sequence) order), then

@@ -118,11 +118,5 @@ func (ln *simLane) oomKill(t *simTask) {
 	ln.oomKilled++
 	ln.sim.journalRecord(trace.CodeOOMKill, t.run.topo.Name(), string(t.node.id),
 		t.task.ID, t.comp.Name)
-	tuples, unblocked := t.queue.drain()
-	for _, tup := range tuples {
-		ln.dropTuple(tup)
-	}
-	for _, comp := range unblocked {
-		ln.scheduleComplete(0, comp)
-	}
+	ln.failQueue(t, false)
 }

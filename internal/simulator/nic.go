@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"rstorm/internal/metrics"
+	"rstorm/internal/pardes"
 )
 
 // transfer is one tuple crossing a link.
@@ -36,8 +37,8 @@ type link struct {
 	capacity int
 	window   int
 
-	queue    ring[transfer]
-	waiters  ring[transfer]
+	queue    pardes.Ring[transfer]
+	waiters  pardes.Ring[transfer]
 	serving  bool
 	inFlight int
 	busy     metrics.BusyTracker
@@ -61,13 +62,13 @@ func (n *link) send(ln *simLane, tr transfer) {
 		ln.scheduleComplete(0, tr.accepted)
 		return
 	}
-	if n.queue.len() < n.capacity {
-		n.queue.push(tr)
+	if n.queue.Len() < n.capacity {
+		n.queue.Push(tr)
 		ln.scheduleComplete(0, tr.accepted)
 		n.startServe(ln)
 		return
 	}
-	n.waiters.push(tr)
+	n.waiters.Push(tr)
 }
 
 // startServe begins transmitting the head transfer if the link is idle and
@@ -75,14 +76,14 @@ func (n *link) send(ln *simLane, tr transfer) {
 //
 //rstorm:hotpath
 func (n *link) startServe(ln *simLane) {
-	if n.serving || !n.alive() || n.queue.len() == 0 || n.inFlight >= n.window {
+	if n.serving || !n.alive() || n.queue.Len() == 0 || n.inFlight >= n.window {
 		return
 	}
 	n.serving = true
-	tr := n.queue.pop()
-	if n.waiters.len() > 0 {
-		w := n.waiters.pop()
-		n.queue.push(w)
+	tr := n.queue.Pop()
+	if n.waiters.Len() > 0 {
+		w := n.waiters.Pop()
+		n.queue.Push(w)
 		ln.scheduleComplete(0, w.accepted)
 	}
 
@@ -127,11 +128,11 @@ func (ln *simLane) linkDone(n *link, tr transfer) {
 
 // fail drops everything queued and unblocks parked senders.
 func (n *link) fail(ln *simLane) {
-	for n.queue.len() > 0 {
-		ln.dropTuple(n.queue.pop().tup)
+	for n.queue.Len() > 0 {
+		ln.dropTuple(n.queue.Pop().tup)
 	}
-	for n.waiters.len() > 0 {
-		tr := n.waiters.pop()
+	for n.waiters.Len() > 0 {
+		tr := n.waiters.Pop()
 		ln.dropTuple(tr.tup)
 		ln.scheduleComplete(0, tr.accepted)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/faults"
 	"rstorm/internal/topology"
 )
 
@@ -72,8 +73,8 @@ func TestDeadTaskInServiceReturnsCredit(t *testing.T) {
 	}
 	// Kill the bolt's node while it is mid-service (50ms services back to
 	// back: it is essentially always busy).
-	if err := sim.FailNodeAt(c.NodeIDs()[1], 1100*time.Millisecond); err != nil {
-		t.Fatalf("FailNodeAt: %v", err)
+	if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: c.NodeIDs()[1], At: 1100 * time.Millisecond}); err != nil {
+		t.Fatalf("InjectFault: %v", err)
 	}
 	res, err := sim.Run()
 	if err != nil {

@@ -263,19 +263,19 @@ func New(c *cluster.Cluster, cfg Config) (*Simulation, error) {
 		uplinks: make(map[cluster.RackID]*link, len(c.Racks())),
 	}
 	if cfg.TraceSampleEvery > 0 {
-		s.tracer = trace.NewTracer(cfg.TraceSampleEvery, cfg.TraceMaxSpans)
+		s.tracer = trace.NewTracer(cfg.TraceSampleEvery, trace.DefaultMaxSpans)
 	}
 	for _, n := range c.Nodes() {
 		sn := &simNode{id: n.ID, rack: n.Rack, spec: n.Spec, slowdown: 1, slowFactor: 1}
 		sn.nic = newLink(func() bool { return !sn.dead },
-			n.Spec.NICMbps, cfg.NICQueueCapacity, cfg.NICWindow)
+			n.Spec.NICMbps, nicQueueCapacity, nicWindow)
 		s.nodes[n.ID] = sn
 	}
 	// One uplink per rack to the aggregation switch (Fig. 4). All
 	// inter-rack traffic leaving a rack shares it.
 	for _, rack := range c.Racks() {
 		s.uplinks[rack] = newLink(func() bool { return true },
-			c.Network().InterRackMbps, cfg.NICQueueCapacity*4, cfg.NICWindow*4)
+			c.Network().InterRackMbps, 4*nicQueueCapacity, 4*nicWindow)
 	}
 
 	// Lane partition. Shards == 0 keeps the cluster in one lane. Shards
@@ -334,25 +334,20 @@ func (s *Simulation) AddTopology(topo *topology.Topology, a *core.Assignment) er
 	if s.started {
 		return fmt.Errorf("simulation already started")
 	}
-	_, err := s.addRun(topo, a)
-	return err
+	if err := s.checkAssignment(topo, a); err != nil {
+		return err
+	}
+	if s.runNamed(topo.Name()) != nil {
+		return fmt.Errorf("topology %q already added", topo.Name())
+	}
+	s.addRun(topo, a)
+	return nil
 }
 
-// addRun validates an assignment and constructs the topology's runtime
-// state, wiring its tasks onto their nodes and building delivery routers.
-// Shared by the pre-start AddTopology and the mid-run SubmitTopology.
-func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) (*topoRun, error) {
-	if a.Topology != topo.Name() {
-		return nil, fmt.Errorf("assignment is for %q, topology is %q", a.Topology, topo.Name())
-	}
-	if !a.Complete(topo) {
-		return nil, fmt.Errorf("assignment for %q is incomplete", topo.Name())
-	}
-	for _, r := range s.runs {
-		if r.topo.Name() == topo.Name() {
-			return nil, fmt.Errorf("topology %q already added", topo.Name())
-		}
-	}
+// addRun constructs a checked topology's runtime state, wiring its tasks
+// onto their nodes and building delivery routers. Shared by the pre-start
+// AddTopology and the mid-run SubmitTopology.
+func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) *topoRun {
 	run := &topoRun{
 		topo:       topo,
 		assignment: a,
@@ -372,10 +367,7 @@ func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) (*topoR
 	}
 	for _, task := range topo.Tasks() {
 		p := a.Placements[task.ID]
-		node, ok := s.nodes[p.Node]
-		if !ok {
-			return nil, fmt.Errorf("task %d placed on unknown node %q", task.ID, p.Node)
-		}
+		node := s.nodes[p.Node]
 		comp := topo.Component(task.Component)
 		st := &simTask{
 			run:       run,
@@ -401,7 +393,7 @@ func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) (*topoR
 	}
 	s.buildRouters(run)
 	s.runs = append(s.runs, run)
-	return run, nil
+	return run
 }
 
 // buildRouters (re)resolves the run's delivery edges. Path level, latency,
@@ -448,15 +440,6 @@ func (s *Simulation) buildRouters(run *topoRun) {
 			st.outs = append(st.outs, r)
 		}
 	}
-}
-
-// FailNodeAt schedules a node failure during the run: its tasks die,
-// queued tuples are dropped (their trees fail so spouts are not wedged),
-// and blocked senders are released. It is shorthand for injecting a Crash
-// fault and, like InjectFault, is legal both before Start and mid-run
-// between epochs.
-func (s *Simulation) FailNodeAt(node cluster.NodeID, at time.Duration) error {
-	return s.InjectFault(faults.Fault{Kind: faults.Crash, Node: node, At: at})
 }
 
 // Run executes the simulation in one shot and returns its Result. A
@@ -974,14 +957,6 @@ func (ln *simLane) dropTuple(tup *tuple) {
 	ln.failTuple(tup)
 }
 
-// migrateTuple abandons a tuple drained from a migrating task's queue (the
-// rebalance analogue of Storm's worker restart: in-flight tuples fail and
-// would be replayed by the spout).
-func (ln *simLane) migrateTuple(tup *tuple) {
-	ln.migrated++
-	ln.failTuple(tup)
-}
-
 // failTuple releases a tuple instance and fails its tree so the spout
 // recovers its max-pending credit rather than wedging.
 //
@@ -1007,14 +982,14 @@ func (ln *simLane) completeTree(tr *tree) {
 	s := ln.sim
 	sp := tr.spout
 	if tr.failed && s.cfg.Replay && sp != nil {
-		if !sp.dead && tr.attempt < s.cfg.ReplayMaxRetries {
+		if !sp.dead && tr.attempt < replayMaxRetries {
 			key, attempt := tr.key, tr.attempt
 			ln.freeTree(tr)
 			ev := ln.newEvent(evSpoutReplay)
 			ev.task = sp
 			ev.key = key
 			ev.attempt = attempt + 1
-			ln.eng.ScheduleEvent(s.cfg.ReplayBackoff<<uint(attempt), ev)
+			ln.eng.ScheduleEvent(replayBackoff<<uint(attempt), ev)
 			return
 		}
 		ln.lostTrees++
@@ -1041,13 +1016,7 @@ func (ln *simLane) failNode(id cluster.NodeID) {
 	n.crashedAt = ln.eng.Now()
 	for _, t := range n.tasks {
 		t.dead = true
-		tuples, unblocked := t.queue.drain()
-		for _, tup := range tuples {
-			ln.dropTuple(tup)
-		}
-		for _, comp := range unblocked {
-			ln.scheduleComplete(0, comp)
-		}
+		ln.failQueue(t, false)
 	}
 	n.nic.fail(ln)
 }

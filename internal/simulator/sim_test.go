@@ -7,6 +7,7 @@ import (
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/faults"
 	"rstorm/internal/topology"
 )
 
@@ -272,8 +273,8 @@ func TestNodeFailureDropsTuplesButDoesNotWedge(t *testing.T) {
 	}
 	// Kill a node carrying bolt tasks halfway through.
 	victim := a.NodesUsed()[len(a.NodesUsed())-1]
-	if err := sim.FailNodeAt(victim, 5*time.Second); err != nil {
-		t.Fatalf("FailNodeAt: %v", err)
+	if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: victim, At: 5 * time.Second}); err != nil {
+		t.Fatalf("InjectFault: %v", err)
 	}
 	res, err := sim.Run()
 	if err != nil {
@@ -294,10 +295,10 @@ func TestFailNodeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := sim.FailNodeAt("ghost", time.Second); err == nil {
+	if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: "ghost", At: time.Second}); err == nil {
 		t.Error("unknown node accepted")
 	}
-	if err := sim.FailNodeAt(c.NodeIDs()[0], -time.Second); err == nil {
+	if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: c.NodeIDs()[0], At: -time.Second}); err == nil {
 		t.Error("negative failure time accepted")
 	}
 }
@@ -368,8 +369,8 @@ func TestSimulationValidation(t *testing.T) {
 	if err := sim2.AddTopology(topo, a); err == nil {
 		t.Error("AddTopology after Run accepted")
 	}
-	if err := sim2.FailNodeAt(c.NodeIDs()[0], time.Second); err == nil {
-		t.Error("FailNodeAt after Run accepted")
+	if err := sim2.InjectFault(faults.Fault{Kind: faults.Crash, Node: c.NodeIDs()[0], At: time.Second}); err == nil {
+		t.Error("crash after Run accepted")
 	}
 }
 

@@ -337,3 +337,45 @@ func TestTenancyDeterministic(t *testing.T) {
 			r1.TuplesMigrated, r1.TuplesDropped, r2.TuplesMigrated, r2.TuplesDropped)
 	}
 }
+
+// TestReviveCreditsOldHost kills a topology while its bolt has a tuple in
+// service and revives it elsewhere. The tuple finishes after the kill, on
+// the bolt's old host; that busy time is credited to the old host, and
+// the node the bolt is revived on reads no utilization.
+func TestReviveCreditsOldHost(t *testing.T) {
+	c := emulabCluster(t)
+	ids := c.NodeIDs()
+	sim, err := New(c, Config{Duration: 2 * time.Second, MetricsWindow: time.Second})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	topo := pairTopo(t, "phoenix", 40)
+	if err := sim.AddTopology(topo, pairAssignment(topo, ids[0], ids[1])); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunTo(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.KillTopology("phoenix"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunTo(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SubmitTopology(topo, pairAssignment(topo, ids[4], ids[5])); err != nil {
+		t.Fatalf("revive: %v", err)
+	}
+	res, err := sim.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := res.NodeUtilization[ids[5]]; u != 0 {
+		t.Errorf("revived bolt's host %s reads utilization %v, want 0", ids[5], u)
+	}
+	if u := res.NodeUtilization[ids[1]]; u <= 0 {
+		t.Errorf("old bolt host %s reads utilization %v, want > 0", ids[1], u)
+	}
+}

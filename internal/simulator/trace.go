@@ -31,23 +31,6 @@ func (s *Simulation) SetJournal(j *trace.Journal) error {
 // Config.TraceSampleEvery is zero. Read its spans after the run.
 func (s *Simulation) Tracer() *trace.Tracer { return s.tracer }
 
-// LatencySummaries returns each topology's cumulative complete-tree
-// latency summary, keyed by name — the /latency route's payload. Nil
-// when Config.LatencyHistograms is off. Call it between RunTo epochs or
-// after Run; reading mid-event-loop from another goroutine is not safe.
-func (s *Simulation) LatencySummaries() map[string]trace.Summary {
-	if !s.cfg.LatencyHistograms {
-		return nil
-	}
-	out := make(map[string]trace.Summary, len(s.runs))
-	for _, run := range s.runs {
-		if run.cumHist != nil {
-			out[run.topo.Name()] = run.cumHist.Summarize()
-		}
-	}
-	return out
-}
-
 // traceOf returns tup's trace ID: nonzero only when tracing is on and
 // the tuple's tree was sampled. The tracer nil check comes first so the
 // untraced hot path pays one comparison.

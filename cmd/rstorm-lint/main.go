@@ -3,15 +3,12 @@
 // zero-alloc //rstorm:hotpath functions, journal reason-code
 // exhaustiveness, StatisticServer route discipline, no package-level
 // state in orchestrated runs, and no internal package that nothing
-// imports.
-//
-// Standalone (whole-program checks included):
+// imports. It checks every file of the named packages (./... when none),
+// test files included, then runs the whole-program checks over them:
 //
 //	go build -o rstorm-lint ./cmd/rstorm-lint && ./rstorm-lint ./...
 //
-// As a vet tool (per-package, driven and cached by cmd/go):
-//
-//	go vet -vettool=$(pwd)/rstorm-lint ./...
+// It exits 0 when clean, 1 with findings and 2 on a usage or load error.
 package main
 
 import "rstorm/internal/analysis"

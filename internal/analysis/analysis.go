@@ -14,11 +14,12 @@
 // The suite mirrors the shapes of golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is self-contained on the standard
 // library: the module has no external dependencies and the container
-// builds offline, so the driver loads packages itself via `go list
-// -export` and type-checks with go/types against gc export data. The
-// cmd/rstorm-lint binary runs either standalone (`rstorm-lint ./...`) or
-// as a `go vet -vettool` (unit.go implements the vet.cfg protocol), and
-// a future migration onto x/tools is a mechanical rename.
+// builds offline, so rstorm-lint loads packages itself via `go list
+// -test -export` and type-checks with go/types against gc export data,
+// test files included. The cmd/rstorm-lint binary (`rstorm-lint ./...`) is
+// the one front end: it runs every check over every file, then the
+// whole-program checks over the run, and a future migration onto x/tools
+// is a mechanical rename.
 //
 // Suppressions are explicit and carry a written reason:
 //
@@ -41,17 +42,12 @@ import (
 )
 
 // An Analyzer is one named check. Run is invoked once per package; Finish,
-// when set, runs after every package of a standalone invocation and may
-// report whole-program findings (it is skipped in per-package vettool
-// mode, which sees one compilation unit at a time).
+// when set, runs after every package of a run and may report
+// whole-program findings.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Flags maps a flag name (registered on the command line as
-	// <analyzer>.<name>) to its value pointer, so both the standalone
-	// driver and `go vet -vettool` invocations can reconfigure a check.
-	Flags map[string]*string
-	Run   func(*Pass) error
+	Run  func(*Pass) error
 	// Finish reports whole-program diagnostics accumulated across passes.
 	Finish func(report func(Diagnostic))
 }
@@ -79,6 +75,13 @@ type Diagnostic struct {
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+}
+
+// inTestFile reports whether pos lies in a _test.go file. The
+// whole-program checks judge what the program itself uses, so they skip
+// test files.
+func (p *Pass) inTestFile(pos token.Pos) bool {
+	return strings.HasSuffix(p.Fset.File(pos).Name(), "_test.go")
 }
 
 // Reportf records a finding at pos under the given suppression category.
@@ -267,16 +270,17 @@ var analyzerCategories = map[string][]string{
 	"globalvar":   {"global-ok"},
 }
 
-// Suite returns fresh instances of all six analyzers. Instances carry
-// per-run state (the journal and orphan analyzers accumulate
-// cross-package usage), so each invocation needs its own.
+// Suite returns fresh instances of all six analyzers, configured for this
+// repository. Instances carry per-run state (the journal and orphan
+// analyzers accumulate cross-package usage), so each invocation needs its
+// own.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		NewDeterminism(),
+		NewDeterminism(determinismScope),
 		NewHotpath(),
-		NewJournal(),
+		NewJournal(journalCodePkg),
 		NewStatserver(),
-		NewGlobalvar(),
+		NewGlobalvar(globalvarScope),
 		NewOrphan(),
 	}
 }

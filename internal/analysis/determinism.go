@@ -7,8 +7,13 @@ import (
 	"strings"
 )
 
-// NewDeterminism builds the determinism analyzer. Within the scheduling
-// and control-plane packages (the scope flag), it enforces the seeded
+// determinismScope lists the scheduling and control-plane packages the
+// determinism analyzer checks.
+const determinismScope = "rstorm/internal/core,rstorm/internal/nimbus,rstorm/internal/adaptive," +
+	"rstorm/internal/simulator,rstorm/internal/experiments,rstorm/internal/pardes"
+
+// NewDeterminism builds the determinism analyzer. Within the packages
+// scope lists (comma-separated; see pathInScope), it enforces the seeded
 // byte-identical-results invariant the golden-diff harness checks
 // dynamically:
 //
@@ -26,13 +31,10 @@ import (
 // Escape hatches: //rstorm:unordered-ok <reason> on the finding's line
 // (or the line above) for map-iteration findings, //rstorm:wallclock-ok
 // <reason> for clock/rand findings.
-func NewDeterminism() *Analyzer {
-	scope := "rstorm/internal/core,rstorm/internal/nimbus,rstorm/internal/adaptive," +
-		"rstorm/internal/simulator,rstorm/internal/experiments,rstorm/internal/pardes"
+func NewDeterminism(scope string) *Analyzer {
 	a := &Analyzer{
-		Name:  "determinism",
-		Doc:   "flag map-iteration-order and wall-clock dependence in scheduling and control-plane packages",
-		Flags: map[string]*string{"scope": &scope},
+		Name: "determinism",
+		Doc:  "flag map-iteration-order and wall-clock dependence in scheduling and control-plane packages",
 	}
 	a.Run = func(pass *Pass) error {
 		if !pathInScope(pass.Pkg.Path(), scope) {
@@ -60,7 +62,8 @@ func NewDeterminism() *Analyzer {
 
 // pathInScope reports whether importPath matches any comma-separated
 // element of scope (substring match, so "rstorm/internal/core" also
-// covers its test binaries and "determinism" covers testdata packages).
+// covers its external tests, rstorm/internal/core_test, and "determinism"
+// covers testdata packages).
 func pathInScope(importPath, scope string) bool {
 	for _, s := range strings.Split(scope, ",") {
 		if s != "" && strings.Contains(importPath, s) {

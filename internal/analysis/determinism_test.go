@@ -3,17 +3,14 @@ package analysis
 import "testing"
 
 func TestDeterminismGolden(t *testing.T) {
-	a := NewDeterminism()
-	*a.Flags["scope"] = "determinism"
-	RunGolden(t, []*Analyzer{a}, "determinism")
+	RunGolden(t, []*Analyzer{NewDeterminism("determinism")}, "determinism")
 }
 
 func TestDeterminismOutOfScope(t *testing.T) {
 	// With the testdata package outside the scope list, every finding
 	// disappears — but so do the suppression comments' matches, so run
 	// without want-matching and assert zero diagnostics directly.
-	a := NewDeterminism()
-	*a.Flags["scope"] = "rstorm/internal/core"
+	a := NewDeterminism("rstorm/internal/core")
 	ti := newTestImporter("testdata/src")
 	pkg, err := ti.load("determinism")
 	if err != nil {

@@ -6,8 +6,16 @@ import (
 	"go/types"
 )
 
-// NewGlobalvar builds the globalvar analyzer: within the packages an
-// orchestrated run can reach (the scope flag — the simulator, the
+// globalvarScope lists the packages an orchestrated run can reach.
+const globalvarScope = "rstorm/internal/core,rstorm/internal/nimbus,rstorm/internal/adaptive," +
+	"rstorm/internal/simulator,rstorm/internal/experiments,rstorm/internal/orchestra," +
+	"rstorm/internal/des,rstorm/internal/cluster,rstorm/internal/topology," +
+	"rstorm/internal/workloads,rstorm/internal/metrics,rstorm/internal/trace," +
+	"rstorm/internal/faults,rstorm/internal/viz,rstorm/internal/resource," +
+	"rstorm/internal/statestore,rstorm/internal/pardes"
+
+// NewGlobalvar builds the globalvar analyzer: within the packages scope
+// lists (see pathInScope; here globalvarScope — the simulator, the
 // scheduling core and control plane, the experiment registry, the
 // orchestrator itself and every rendering/measurement package they pull
 // in), no package-level `var` may exist. The parallel scenario
@@ -28,17 +36,10 @@ import (
 // rand sources — must either move into per-run state or carry a
 // reasoned //rstorm:global-ok suppression arguing why shared access is
 // safe (e.g. write-once-before-first-read under sync.Once).
-func NewGlobalvar() *Analyzer {
-	scope := "rstorm/internal/core,rstorm/internal/nimbus,rstorm/internal/adaptive," +
-		"rstorm/internal/simulator,rstorm/internal/experiments,rstorm/internal/orchestra," +
-		"rstorm/internal/des,rstorm/internal/cluster,rstorm/internal/topology," +
-		"rstorm/internal/workloads,rstorm/internal/metrics,rstorm/internal/trace," +
-		"rstorm/internal/faults,rstorm/internal/viz,rstorm/internal/resource," +
-		"rstorm/internal/statestore,rstorm/internal/pardes"
+func NewGlobalvar(scope string) *Analyzer {
 	a := &Analyzer{
-		Name:  "globalvar",
-		Doc:   "flag package-level mutable state reachable from orchestrated runs",
-		Flags: map[string]*string{"scope": &scope},
+		Name: "globalvar",
+		Doc:  "flag package-level mutable state reachable from orchestrated runs",
 	}
 	a.Run = func(pass *Pass) error {
 		if !pathInScope(pass.Pkg.Path(), scope) {

@@ -3,16 +3,13 @@ package analysis
 import "testing"
 
 func TestGlobalvarGolden(t *testing.T) {
-	a := NewGlobalvar()
-	*a.Flags["scope"] = "globalvar"
-	RunGolden(t, []*Analyzer{a}, "globalvar")
+	RunGolden(t, []*Analyzer{NewGlobalvar("globalvar")}, "globalvar")
 }
 
 func TestGlobalvarOutOfScope(t *testing.T) {
 	// Packages outside the orchestrated-run scope may keep their globals:
 	// the analyzer must stay silent there.
-	a := NewGlobalvar()
-	*a.Flags["scope"] = "rstorm/internal/core"
+	a := NewGlobalvar("rstorm/internal/core")
 	ti := newTestImporter("testdata/src")
 	pkg, err := ti.load("globalvar")
 	if err != nil {

@@ -9,28 +9,30 @@ import (
 	"strings"
 )
 
+// journalCodePkg is the package declaring the journal's reason codes.
+const journalCodePkg = "internal/trace"
+
 // NewJournal builds the journal-exhaustiveness analyzer. The decision
-// journal's reason codes (the Code* string constants in internal/trace)
-// are the taxonomy every control-plane event is filed under; the
-// analyzer keeps that taxonomy honest in both directions:
+// journal's reason codes (the Code* string constants in the package whose
+// path contains codepkg; here internal/trace) are the taxonomy every
+// control-plane event is filed under; the analyzer keeps that taxonomy
+// honest in both directions:
 //
 //   - every switch whose cases compare against Code* constants must list
 //     every declared code — a new code silently falling into a default
 //     branch is exactly the blind spot the journal exists to close;
-//   - every declared code must be referenced somewhere in the program
-//     (whole-run standalone mode only: per-package vettool units cannot
-//     see their importers).
+//   - every code declared outside test files must be referenced from a
+//     non-test file somewhere in the run (a whole-program check: a code
+//     only a test records is one the program never journals).
 //
 // Escape hatch: //rstorm:journal-ok <reason> on the switch statement.
-func NewJournal() *Analyzer {
-	codepkg := "internal/trace"
+func NewJournal(codepkg string) *Analyzer {
 	a := &Analyzer{
-		Name:  "journal",
-		Doc:   "require journal reason-code switches to be exhaustive and every declared code to be recorded",
-		Flags: map[string]*string{"codepkg": &codepkg},
+		Name: "journal",
+		Doc:  "require journal reason-code switches to be exhaustive and every declared code to be recorded",
 	}
 	st := &journalState{
-		codepkg:  &codepkg,
+		codepkg:  codepkg,
 		declared: make(map[string]token.Position),
 		used:     make(map[string]bool),
 	}
@@ -58,7 +60,7 @@ func NewJournal() *Analyzer {
 }
 
 type journalState struct {
-	codepkg  *string
+	codepkg  string
 	declared map[string]token.Position
 	used     map[string]bool
 }
@@ -70,28 +72,27 @@ func (st *journalState) isCodeConst(obj types.Object) bool {
 	if !ok || !strings.HasPrefix(c.Name(), "Code") || c.Pkg() == nil {
 		return false
 	}
-	if !strings.Contains(c.Pkg().Path(), *st.codepkg) {
+	if !strings.Contains(c.Pkg().Path(), st.codepkg) {
 		return false
 	}
 	return c.Val().Kind() == constant.String
 }
 
 func (st *journalState) pass(p *Pass) {
-	declaring := strings.Contains(p.Pkg.Path(), *st.codepkg)
+	declaring := strings.Contains(p.Pkg.Path(), st.codepkg)
 	if declaring {
 		scope := p.Pkg.Scope()
 		for _, name := range scope.Names() {
-			if obj := scope.Lookup(name); st.isCodeConst(obj) {
+			if obj := scope.Lookup(name); st.isCodeConst(obj) && !p.inTestFile(obj.Pos()) {
 				st.declared[name] = p.Fset.Position(obj.Pos())
 			}
 		}
 	}
-	// Usage: any reference to a code constant counts as "recorded" —
-	// journaling flows through wrappers (journalRecord, Record, Append),
-	// so call-site shape is not constrained.
+	// Usage: any reference to a code constant from a non-test file counts
+	// as "recorded" — journaling flows through wrappers (journalRecord,
+	// Record, Append), so call-site shape is not constrained.
 	for id, obj := range p.Info.Uses {
-		if st.isCodeConst(obj) {
-			_ = id
+		if st.isCodeConst(obj) && !p.inTestFile(id.Pos()) {
 			st.used[obj.Name()] = true
 		}
 	}

@@ -3,16 +3,12 @@ package analysis
 import "testing"
 
 func TestJournalSwitchesGolden(t *testing.T) {
-	a := NewJournal()
-	*a.Flags["codepkg"] = "journalcodes/codes"
-	RunGolden(t, []*Analyzer{a}, "journalcodes/codes", "journalcodes/app")
+	RunGolden(t, []*Analyzer{NewJournal("journalcodes/codes")}, "journalcodes/codes", "journalcodes/app")
 }
 
 func TestJournalUnusedGolden(t *testing.T) {
 	// The unused-code check lives in its own scenario: an exhaustive
 	// switch necessarily references every code, so a package exercising
 	// exhaustiveness can never also carry an orphan.
-	a := NewJournal()
-	*a.Flags["codepkg"] = "journalunused"
-	RunGolden(t, []*Analyzer{a}, "journalunused")
+	RunGolden(t, []*Analyzer{NewJournal("journalunused")}, "journalunused")
 }

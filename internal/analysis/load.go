@@ -31,6 +31,9 @@ type listedPkg struct {
 	Dir        string
 	GoFiles    []string
 	Export     string
+	ForTest    string
+	ImportMap  map[string]string
+	DepOnly    bool
 }
 
 // goList runs the go command in dir and decodes its JSON package stream.
@@ -79,8 +82,10 @@ func exportData(dir string, patterns []string) (map[string]string, error) {
 }
 
 // exportImporter returns a types.Importer resolving imports through an
-// export-data map, with importMap translating source-level paths to
-// canonical ones (the vet.cfg ImportMap; nil outside vettool mode).
+// export-data map, with importMap translating source-level paths to the
+// ones `go list` keys export data by (a package's ImportMap: an external
+// test imports its package's test variant, "pkg [pkg.test]"; nil when
+// every import is canonical).
 func exportImporter(fset *token.FileSet, exports map[string]string, importMap map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		if mapped, ok := importMap[path]; ok {
@@ -124,29 +129,48 @@ func typeCheck(fset *token.FileSet, importPath, dir string, goFiles []string, im
 	return &Package{Fset: fset, Files: files, Types: pkg, Info: info, Dir: dir}, nil
 }
 
-// loadPatterns loads and type-checks every package matched by patterns
-// (non-test files, like the golden runs the invariants guard), in `go
-// list` order.
+// loadPatterns loads and type-checks every package matched by patterns,
+// test files included, in `go list -test` order. A package with
+// in-package tests is checked once, as its test variant (pkg
+// [pkg.test]: the package's files plus those tests), and an external
+// test package as pkg_test, each through its own ImportMap; the generated
+// test mains (pkg.test) are skipped. Every file is therefore checked
+// exactly once, and each package under its own import path.
 func loadPatterns(dir string, patterns []string) ([]*Package, error) {
-	exports, err := exportData(dir, patterns)
+	args := append([]string{"list", "-test", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,ForTest,ImportMap,DepOnly"}, patterns...)
+	listed, err := goList(dir, args...)
 	if err != nil {
 		return nil, err
 	}
-	args := append([]string{"list", "-json=ImportPath,Dir,GoFiles"}, patterns...)
-	targets, err := goList(dir, args...)
-	if err != nil {
-		return nil, err
+	exports := make(map[string]string, len(listed))
+	tested := make(map[string]bool)
+	for _, p := range listed {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+		if path, _, _ := strings.Cut(p.ImportPath, " ["); path == p.ForTest {
+			tested[path] = true
+		}
 	}
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports, nil)
+	canonical := exportImporter(fset, exports, nil)
 	var pkgs []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
+	for _, p := range listed {
+		path, _, _ := strings.Cut(p.ImportPath, " [")
+		// Skip dependencies, a package whose test variant holds its
+		// files, and the test mains.
+		if p.DepOnly || len(p.GoFiles) == 0 ||
+			p.ForTest == "" && (tested[path] || strings.HasSuffix(path, ".test")) {
 			continue
 		}
-		pkg, err := typeCheck(fset, t.ImportPath, t.Dir, t.GoFiles, imp)
+		imp := canonical
+		if len(p.ImportMap) > 0 {
+			imp = exportImporter(fset, exports, p.ImportMap)
+		}
+		pkg, err := typeCheck(fset, path, p.Dir, p.GoFiles, imp)
 		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", t.ImportPath, err)
+			return nil, fmt.Errorf("loading %s: %w", p.ImportPath, err)
 		}
 		pkgs = append(pkgs, pkg)
 	}

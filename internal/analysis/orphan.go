@@ -4,6 +4,7 @@ import (
 	"go/token"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -14,12 +15,13 @@ import (
 // once nothing in the module does, no build can reach it: it is dead code
 // that still costs tests, lint time and readers.
 //
-// The verdict needs every possible importer, so the check runs in
-// standalone mode only and judges only runs that load a program (a
-// package main), as a whole-module run such as ./... does; a run over a
-// few library packages cannot see who imports them. Packages load without
-// their _test.go files, so an import from a test does not count. There is
-// no suppression: import the package or delete it.
+// The verdict needs every possible importer, so the check judges only
+// runs that load a program (a package main), as a whole-module run such
+// as ./... does; a run over a few library packages cannot see who imports
+// them. Only non-test files count on both sides: an import from a
+// _test.go file does not keep a package alive, and a package made only of
+// test files (an external pkg_test) is never an orphan. There is no
+// suppression: import the package or delete it.
 func NewOrphan() *Analyzer {
 	a := &Analyzer{
 		Name: "orphan",
@@ -32,11 +34,19 @@ func NewOrphan() *Analyzer {
 		if pass.Pkg.Name() == "main" {
 			program = true
 		}
-		if slices.Contains(strings.Split(pass.Pkg.Path(), "/"), "internal") {
-			declared[pass.Pkg.Path()] = pass.Fset.Position(pass.Files[0].Name.Pos())
-		}
-		for _, imp := range pass.Pkg.Imports() {
-			imported[imp.Path()] = true
+		path := pass.Pkg.Path()
+		internal := slices.Contains(strings.Split(path, "/"), "internal")
+		for _, f := range pass.Files {
+			if pass.inTestFile(f.Pos()) {
+				continue
+			}
+			if _, seen := declared[path]; internal && !seen {
+				declared[path] = pass.Fset.Position(f.Name.Pos())
+			}
+			for _, spec := range f.Imports {
+				imp, _ := strconv.Unquote(spec.Path.Value) // type-checked: well-formed
+				imported[imp] = true
+			}
 		}
 		return nil
 	}

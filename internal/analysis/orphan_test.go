@@ -4,7 +4,8 @@ import "testing"
 
 func TestOrphanGolden(t *testing.T) {
 	RunGolden(t, []*Analyzer{NewOrphan()},
-		"orphanpkg/app", "orphanpkg/internal/used", "orphanpkg/internal/orphan")
+		"orphanpkg/app", "orphanpkg/internal/used", "orphanpkg/internal/orphan",
+		"orphanpkg/internal/testonly", "orphanpkg/internal/testsonly")
 }
 
 // TestOrphanNeedsAProgram: a run that loads no package main cannot see

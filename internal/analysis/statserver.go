@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"strconv"
-	"strings"
 )
 
 // NewStatserver builds the route-discipline analyzer, generalizing PR 7's
@@ -20,26 +19,18 @@ import (
 // Third-party handlers that manage their own discipline (net/http/pprof)
 // are suppressed explicitly: //rstorm:route-ok <reason>.
 func NewStatserver() *Analyzer {
-	typeName := "StatisticServer"
-	wrappers := "get"
-	writers := "writeJSON,jsonError"
 	a := &Analyzer{
 		Name: "statserver",
 		Doc:  "require every StatisticServer route to guard non-GET methods and set Content-Type",
-		Flags: map[string]*string{
-			"type":     &typeName,
-			"wrappers": &wrappers,
-			"writers":  &writers,
-		},
 	}
 	a.Run = func(pass *Pass) error {
-		if pass.Pkg.Scope().Lookup(typeName) == nil {
+		if pass.Pkg.Scope().Lookup("StatisticServer") == nil {
 			return nil
 		}
 		s := &statserverPass{
 			pass:     pass,
-			wrappers: splitSet(wrappers),
-			writers:  splitSet(writers),
+			wrappers: map[string]bool{"get": true},
+			writers:  map[string]bool{"writeJSON": true, "jsonError": true},
 			decls:    methodDecls(pass),
 		}
 		for _, f := range pass.Files {
@@ -53,16 +44,6 @@ func NewStatserver() *Analyzer {
 		return nil
 	}
 	return a
-}
-
-func splitSet(s string) map[string]bool {
-	set := make(map[string]bool)
-	for _, e := range strings.Split(s, ",") {
-		if e != "" {
-			set[e] = true
-		}
-	}
-	return set
 }
 
 // methodDecls indexes the package's function declarations by their

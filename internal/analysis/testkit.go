@@ -19,9 +19,11 @@ import (
 // lines where diagnostics must appear (several per line allowed), and
 // lines without a want comment must stay clean. Suppression comments are
 // honoured before matching, so the golden suites pin the escape-hatch
-// behaviour too. Sibling testdata packages import each other by their
-// path under testdata/src; standard-library imports resolve through the
-// same `go list -export` data the standalone driver uses.
+// behaviour too. Every .go file of a testdata directory is loaded, its
+// _test.go files included, as loadPatterns loads a package's test
+// variant. Sibling testdata packages import each other by their path
+// under testdata/src; standard-library imports resolve through `go list
+// -export` data, as loadPatterns' imports do.
 
 // testImporter resolves imports for testdata packages: siblings from
 // source, everything else from gc export data.

@@ -51,6 +51,11 @@ type completion struct {
 type simEvent struct {
 	ln   *simLane
 	kind uint8
+	// inc is the task's incarnation when a task event was scheduled. A
+	// spout cycle or service completion from an earlier incarnation is
+	// stale: its executor died and was restarted before it fired, so it
+	// takes the dead-task path.
+	inc  uint32
 	task *simTask   // spout/bolt the event concerns
 	tup  *tuple     // evBoltFire, evArrive
 	dest *simTask   // evArrive
@@ -78,21 +83,34 @@ func (e *simEvent) Fire() {
 	ln := e.ln
 	switch e.kind {
 	case evSpoutCycle:
-		t := e.task
+		t, live := e.task, e.inc == e.task.inc
 		ln.freeEvent(e)
-		ln.spoutCycle(t)
+		if live {
+			ln.spoutCycle(t)
+		}
 	case evSpoutFire:
-		t := e.task
+		t, live := e.task, e.inc == e.task.inc
 		ln.freeEvent(e)
-		ln.spoutFire(t)
+		if live {
+			ln.spoutFire(t)
+		}
 	case evBoltTry:
+		// Not checked for staleness: a try only starts a service if the
+		// task, whatever its incarnation, is idle with a tuple queued.
 		t := e.task
 		ln.freeEvent(e)
 		ln.boltTry(t)
 	case evBoltFire:
-		t, tup := e.task, e.tup
+		t, tup, live := e.task, e.tup, e.inc == e.task.inc
 		ln.freeEvent(e)
-		ln.boltFire(t, tup)
+		if live {
+			ln.boltFire(t, tup)
+		} else {
+			// The executor restarted mid-service: its tuple is lost as on
+			// boltFire's dead-task path. The restart credited the service
+			// to the host it ran on.
+			ln.dropTuple(tup)
+		}
 	case evArrive:
 		dest, tup, comp := e.dest, e.tup, e.comp
 		ln.freeEvent(e)
@@ -143,12 +161,14 @@ func (ln *simLane) freeEvent(ev *simEvent) {
 }
 
 // scheduleTask schedules a task-only event (spout cycle/fire, bolt try) on
-// this lane. Task events are always scheduled by the task's own lane.
+// this lane, stamped with the task's incarnation. Task events are always
+// scheduled by the task's own lane.
 //
 //rstorm:hotpath
 func (ln *simLane) scheduleTask(delay time.Duration, kind uint8, t *simTask) {
 	ev := ln.newEvent(kind)
 	ev.task = t
+	ev.inc = t.inc
 	ln.eng.ScheduleEvent(delay, ev)
 }
 

@@ -214,7 +214,9 @@ func (s *Simulation) mergeLaneFaults() {
 // rescheduled at their original timestamps in collection order: fresh
 // sequence numbers preserve relative order within a lane, and the
 // collection order breaks cross-lane ties deterministically. With one
-// lane this reschedules the queue in its own order.
+// lane this reschedules the queue in its own order. Records move as they
+// are, so a task event keeps its incarnation stamp: a restarted task's
+// stale service still fires stale on its new lane.
 //
 // Pending tuple-tree deltas are not rescheduled but applied here, at the
 // barrier: the lanes are quiescent, so the fold sees every delta sent

@@ -87,7 +87,7 @@ func (ln *simLane) oomCheck() {
 		}
 	}
 	if next := ln.eng.Now() + s.cfg.MetricsWindow; next <= s.cfg.Duration {
-		ln.scheduleTask(s.cfg.MetricsWindow, evOOMCheck, nil)
+		ln.eng.ScheduleEvent(s.cfg.MetricsWindow, ln.newEvent(evOOMCheck))
 	}
 }
 

@@ -84,11 +84,20 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 		departed[i] = s.moveTask(st, a.Placements[st.task.ID], affected)
 	}
 	for _, st := range restarting {
+		// A service still pending from before the death (events at the
+		// pause instant included: windows are half-open) will complete
+		// stale; credit it now, so moveTask attributes it to the host it
+		// ran on.
+		if st.serviceEnd > 0 && st.serviceEnd >= s.now() {
+			st.tracker.AddBusy(st.service)
+			st.serviceEnd = 0
+		}
 		// The queue was drained when the task died.
 		s.moveTask(st, a.Placements[st.task.ID], affected)
 		st.dead = false
 		st.busy = false
 		st.parked = false
+		st.inc++
 		// outBuf/outIdx stay: a stale delivery sequence from before the
 		// death finishes deterministically, and every new emission resets
 		// the cursor itself (spoutFire/boltFire).

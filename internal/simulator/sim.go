@@ -58,7 +58,14 @@ type simTask struct {
 	isSink    bool
 	busy      bool
 	dead      bool
-	tracker   metrics.BusyTracker
+	// inc is the executor's incarnation, bumped by each restart
+	// (ReassignRestarting); task events carry the one that scheduled them.
+	inc     uint32
+	tracker metrics.BusyTracker
+	// serviceEnd is when the bolt's latest service completes (0 before
+	// its first). A restart before then credits that service to the host
+	// it ran on, since its completion will fire stale.
+	serviceEnd time.Duration
 	// service is the stretched per-tuple cost, frozen at Run start once
 	// the node's overcommit factor is known.
 	service time.Duration
@@ -499,7 +506,7 @@ func (s *Simulation) Start() error {
 	// kill happens. Each lane enforces its own nodes.
 	if s.cfg.MemoryModel && s.cfg.MetricsWindow <= s.cfg.Duration {
 		for _, ln := range s.lanes {
-			ln.scheduleTask(s.cfg.MetricsWindow, evOOMCheck, nil)
+			ln.eng.ScheduleEvent(s.cfg.MetricsWindow, ln.newEvent(evOOMCheck))
 		}
 	}
 	ifaces := make([]pardes.Lane, len(s.lanes))
@@ -690,9 +697,11 @@ func (ln *simLane) boltTry(t *simTask) {
 		ln.scheduleComplete(0, unblocked)
 	}
 	t.busy = true
+	t.serviceEnd = ln.eng.Now() + t.service
 	ev := ln.newEvent(evBoltFire)
 	ev.task = t
 	ev.tup = tup
+	ev.inc = t.inc
 	ln.eng.ScheduleEvent(t.service, ev)
 }
 

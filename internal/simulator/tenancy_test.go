@@ -379,3 +379,93 @@ func TestReviveCreditsOldHost(t *testing.T) {
 		t.Errorf("old bolt host %s reads utilization %v, want > 0", ids[1], u)
 	}
 }
+
+// killAndRevive runs twoNodeChain's spout on node 0 and its 50 ms bolt
+// on node 1 of Emulab12 for 4 s in 1 s windows, kills the topology at
+// 1.005 s, mid-service, and revives it at reviveAt with the spout and the
+// bolt on the given nodes.
+func killAndRevive(t *testing.T, reviveAt time.Duration, spoutNode, boltNode int) (*Result, *collector) {
+	t.Helper()
+	c := emulabCluster(t)
+	ids := c.NodeIDs()
+	topo, _ := twoNodeChain(t, 50*time.Millisecond, 8)
+	sim, err := New(c, Config{Duration: 4 * time.Second, MetricsWindow: time.Second})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	obs := &collector{}
+	if err := sim.SetObserver(obs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.AddTopology(topo, pairAssignment(topo, ids[0], ids[1])); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunTo(1005 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.KillTopology("pair"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunTo(reviveAt); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SubmitTopology(topo, pairAssignment(topo, ids[spoutNode], ids[boltNode])); err != nil {
+		t.Fatalf("revive: %v", err)
+	}
+	res, err := sim.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, obs
+}
+
+// TestReviveDoesNotInheritService revives a killed topology on the same
+// nodes 5 ms after the kill, well inside the bolt's 50 ms service. The
+// revived executors must not inherit their predecessors' pending service
+// and cycle events: an executor runs one service at a time, so its busy
+// time in any window is at most the window's length plus the one service
+// that may straddle the window's start (Busy is credited when a service
+// completes).
+func TestReviveDoesNotInheritService(t *testing.T) {
+	const service = 50 * time.Millisecond
+	_, obs := killAndRevive(t, 1010*time.Millisecond, 0, 1)
+	var processed int64
+	for _, w := range obs.windows {
+		for _, s := range w {
+			if s.Component != "d" {
+				continue
+			}
+			processed += s.Processed
+			if limit := s.WindowEnd - s.WindowStart + service; s.Busy > limit {
+				t.Errorf("window [%v, %v): bolt busy %v over %d executions, above the one-executor limit %v",
+					s.WindowStart, s.WindowEnd, s.Busy, s.Processed, limit)
+			}
+		}
+	}
+	if processed == 0 {
+		t.Fatal("the bolt never ran")
+	}
+}
+
+// TestStaleServiceTakesDeadPath: the service a kill interrupts ends the
+// same way whether the revive, onto other nodes, comes after that
+// service's completion time (the completion fires while the task is dead)
+// or before it (the completion fires stale). Either way its tuple is
+// dropped, failing its tree, and its busy time is credited to the bolt's
+// old host.
+func TestStaleServiceTakesDeadPath(t *testing.T) {
+	late, _ := killAndRevive(t, 1200*time.Millisecond, 4, 5)
+	early, _ := killAndRevive(t, 1010*time.Millisecond, 4, 5)
+	if early.TuplesDropped != 1 || late.TuplesDropped != 1 {
+		t.Errorf("dropped %d tuples with the revive within the service and %d after it, want 1 and 1",
+			early.TuplesDropped, late.TuplesDropped)
+	}
+	ids := emulabCluster(t).NodeIDs()
+	if got, want := early.NodeUtilization[ids[1]], late.NodeUtilization[ids[1]]; got != want {
+		t.Errorf("old bolt host %s reads utilization %v after a revive within the service, want %v as after one beyond it",
+			ids[1], got, want)
+	}
+}

@@ -35,10 +35,8 @@ func (w *windowCounter) OnWindow(samples []TaskSample) {
 //   - ReassignRestarting every dead task onto seeded live nodes;
 //   - kill the tenant if any of its tasks lives, else revive it.
 //
-// The digest is a SHA-256 over the Result's JSON and, per observer window,
-// the sample count and summed Busy. Node utilization (NodeUtilization,
-// MeanUtilizationUsed) is left out: TestReviveCreditsOldHost pins which
-// host a moved task's busy time is credited to.
+// The digest is a SHA-256 over the Result's JSON, node utilization
+// included, and, per observer window, the sample count and summed Busy.
 func placementChangeDigest(t *testing.T, seed int64, shards int) string {
 	t.Helper()
 	c := shardedCluster(t)
@@ -136,8 +134,6 @@ func placementChangeDigest(t *testing.T, seed int64, shards int) string {
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	res.NodeUtilization = nil
-	res.MeanUtilizationUsed = 0
 	blob, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
@@ -157,12 +153,12 @@ func TestPlacementChangeDigest(t *testing.T) {
 	// Per seed: the one-lane partition (Shards 0), then the per-rack
 	// partition (every Shards >= 1 must read it).
 	digests := map[int64][2]string{
-		1: {"b04c4001a183247b6a4756bf75ce8128c4127b13262aee9ef1bb9cfa86a15241", "33fdffe455e92358cb6bd9251978eea9423931d4ed00e70a8185a6b278d6f55d"},
-		2: {"08367c9afafe8a7a9e8d9e6a209163f59a2848edf0f5ba44abf7834e7c0675d5", "9d99ce43b5c323a3e52fdf130ee52c1d0c73e36b5dbcb61bce24ceaa014614ca"},
-		3: {"da88c37868ab964892c9d65dcf2e06f38bc1e34b6d70cad0659be7b864ee7504", "8781475ef93b6d03ef2341ba04a08d3bb1857cfa6e98e5f671515b5ffddfd88e"},
-		4: {"fc2393e77324a261f027b0988099ce304b3fb7a856b660a4ca012defed0dec81", "5c94f903803373e75c34b897b0eea6b5325a8f51c61dbe7d5b3255cce5f24954"},
-		5: {"46370908f5b3c1757655b55ca1912e8b280b9d938c4f2e8508b22cf7482e5d84", "3fa381dd1322aaf12c3739880af5ecca693cb8882ea0b32187a0411fada06478"},
-		6: {"4606ee82848ddf5c253135b9e9dcc0278b332fc37a74c4b348c49f2943605714", "444ed73ca30a5a1a6396c7f18645059c64381ebfcf81d10de0673c3af628f3b5"},
+		1: {"45cf30ba91b871702044a9110440aac9adbd583fbfd9f712a11e85e2f4f50986", "fa4bec1547619c1dd654e059b3b8c9b45e90b5da28def94d00b7e4057a7984c7"},
+		2: {"0cf07817ef6df0e938361e9bc80308a45e0d89811f214e9ef160ac1d853c3660", "c36816be9a037655bfd15bbe565c9f6e0989fca687a960e72a8f5ce84cb7c8cd"},
+		3: {"2ff3e5532ccafe2bedcf6b0beda2263ef55c1d637ce4d04100c5ec5fe775ada6", "a07f463bde89b2b2e6f37913066862ee8a34e724d4830f0a81aaf49e9e20da61"},
+		4: {"729de13881af2bd49e8d019d85a2614dfd21cda82d0ddca74bf85c43d43694ac", "6ec9b6edd5114efad57f52cd23e9ab0818a6a16c3caa703bb98ca48cb61b7782"},
+		5: {"fc47f6210e55420bcf2b5756ec5409bef530e4d9e70c97b1897b150c9ad87445", "29b0fac672acc9cc80a32a4a2dbb9b8572ab727d7759e5baf00e6d508147aa29"},
+		6: {"3bbb7fb950768154386e71495294d0f874efc5d8bdab648f163f27e98cd94d10", "c9a9cf28cde77988553719172fc7abd14b8eb7b6694f9aec50ec074946bb4ab2"},
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		want := digests[seed]

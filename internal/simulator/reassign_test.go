@@ -288,3 +288,67 @@ func TestReassignValidation(t *testing.T) {
 		t.Fatalf("Finish: %v", err)
 	}
 }
+
+// TestFailQueueFailsBeforeReleasing pins failQueue's order: every queued
+// tuple fails before any parked producer is released. A spout parked on
+// its max-pending credit feeds a 1 ms bolt that is itself parked on a
+// full 50 ms bolt's queue. Failing the slow bolt's queue completes the
+// spout's trees, which wakes the spout, and releases the parked bolt; the
+// wake must be scheduled before the release.
+func TestFailQueueFailsBeforeReleasing(t *testing.T) {
+	c := emulabCluster(t)
+	ids := c.NodeIDs()
+	b := topology.NewBuilder("order")
+	b.SetMaxSpoutPending(200)
+	prof := func(cost time.Duration) topology.ExecProfile {
+		return topology.ExecProfile{CPUPerTuple: cost, TupleBytes: 64}
+	}
+	b.SetSpout("s", 1).SetCPULoad(5).SetMemoryLoad(64).SetProfile(prof(time.Millisecond))
+	b.SetBolt("p", 1).ShuffleGrouping("s").SetCPULoad(5).SetMemoryLoad(64).SetProfile(prof(time.Millisecond))
+	b.SetBolt("q", 1).ShuffleGrouping("p").SetCPULoad(5).SetMemoryLoad(64).SetProfile(prof(50 * time.Millisecond))
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	// One worker: hand-offs are local, so the 1 ms bolt parks on the slow
+	// bolt's queue itself rather than on a NIC.
+	a := core.NewAssignment("order", "manual")
+	for i := range topo.Tasks() {
+		a.Place(i, core.Placement{Node: ids[0], Slot: 0})
+	}
+	sim, err := New(c, Config{Duration: 4 * time.Second, MetricsWindow: time.Second})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := sim.AddTopology(topo, a); err != nil {
+		t.Fatalf("AddTopology: %v", err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := sim.RunTo(2 * time.Second); err != nil {
+		t.Fatalf("RunTo: %v", err)
+	}
+	run := sim.runNamed("order")
+	spout, producer, slow := run.ordered[0], run.ordered[1], run.ordered[2]
+	if !spout.parked || slow.queue.len() != slow.queue.capacity || slow.queue.waiters.Len() != 1 {
+		t.Fatalf("setup: spout parked %v, slow queue %d/%d with %d waiters; want parked, full, 1",
+			spout.parked, slow.queue.len(), slow.queue.capacity, slow.queue.waiters.Len())
+	}
+	ln := slow.node.lane
+	ln.failQueue(slow, true)
+	wake, release := -1, -1
+	for i, pe := range ln.eng.TakePending() {
+		ev, ok := pe.Ev.(*simEvent)
+		switch {
+		case !ok:
+		case wake < 0 && ev.kind == evSpoutCycle && ev.task == spout:
+			wake = i
+		case release < 0 && ev.kind == evComplete && ev.comp.task == producer:
+			release = i
+		}
+	}
+	if wake < 0 || release < 0 || wake > release {
+		t.Errorf("pending spout wake at %d, producer release at %d: want both, the wake first", wake, release)
+	}
+}

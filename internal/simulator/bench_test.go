@@ -82,11 +82,13 @@ func overloadConfig(tb testing.TB) (*topology.Topology, Config) {
 }
 
 // TestTuplePathAllocs enforces in go test what the benchmarks below
-// report: once warm, the one-lane tuple path makes 0 allocations per
-// 100 ms RunTo slice, which over 100 slices means fewer than 100 mallocs.
-// Per-tuple work would malloc hundreds of thousands of times. What does
-// remain is metrics.Windowed growing its per-window bucket slices: each
-// series doubles a few times as the run crosses new windows.
+// report: once warm, the one-lane tuple path and the window flushes
+// allocate nothing over 100 RunTo slices of 100 ms, ten flushes among
+// them. Per-tuple work would malloc hundreds of thousands of times, and
+// one allocation per flush ten times, which is above the allowance. The
+// allowance covers the runtime's own mallocs early in a test process (up
+// to 5 seen, in a few runs of 80): the simulation is deterministic, so an
+// allocation of its own would show in every run.
 func TestTuplePathAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -98,7 +100,10 @@ func TestTuplePathAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			topo, cfg := tc.config(t)
 			sim, now := benchSim(t, topo, cfg)
-			const slices, slice = 100, 100 * time.Millisecond
+			const slices, slice, allowance = 100, 100 * time.Millisecond, 8
+			// A collection first: the runtime's first cycle starts its mark
+			// workers, whose goroutines would count as mallocs.
+			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < slices; i++ {
@@ -110,8 +115,9 @@ func TestTuplePathAllocs(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			mallocs := after.Mallocs - before.Mallocs
 			t.Logf("%d mallocs over %d slices (%d metrics windows)", mallocs, slices, slices*slice/cfg.MetricsWindow)
-			if mallocs >= slices {
-				t.Fatalf("%d mallocs over %d RunTo slices: the tuple path allocates", mallocs, slices)
+			if mallocs > allowance {
+				t.Fatalf("%d mallocs over %d RunTo slices, want at most %d: the tuple path or a flush allocates",
+					mallocs, slices, allowance)
 			}
 		})
 	}

@@ -145,35 +145,45 @@ func (s *Simulation) SetObserver(o Observer) error {
 	return nil
 }
 
-// flushPartialWindow delivers the counters accumulated since the last
-// flush, if any — the tail window Finish must not silently drop when the
-// duration is not a multiple of the metrics window, and the pre-migration
-// slice of a window when Reassign lands mid-window. A no-op at an exact
-// window boundary (nothing has accumulated) and when neither an observer
-// nor latency histograms consume flushes.
+// flushPartialWindow flushes the counters accumulated since the last
+// flush, if any: the tail window Finish must not drop when the duration
+// is not a multiple of the metrics window, and the slice of a window
+// before a placement change, which must be attributed to the placement it
+// ran under. A no-op at an exact window boundary (nothing has
+// accumulated).
 func (s *Simulation) flushPartialWindow() {
-	if s.observer == nil && !s.cfg.LatencyHistograms {
-		return
-	}
 	if now := s.now(); now > s.lastFlush {
 		s.flushWindow(now)
 	}
 }
 
-// flushWindow materializes the window [s.lastFlush, now): samples for the
-// observer (if attached), and the latency-histogram roll-up — per-task
-// window digests into the samples, task histograms merged into the run's
-// window and cumulative histograms, and the per-window p99 series closed
-// at full window boundaries (partial flushes accumulate without closing,
-// so the series stays aligned with the throughput series).
+// flushWindow is the run's one window ledger: it closes [s.lastFlush, now)
+// for every task. Each task's sink arrivals and bolt executions fold into
+// its run's series at bucket lastFlush / MetricsWindow (partial flushes of
+// one window land in one bucket; a trailing partial window has none), and
+// its busy time into uncredited, the busy time not yet credited to a host.
+// An attached observer gets the window's samples, and latency histograms
+// roll up: per-task window digests into the samples, task histograms
+// merged into the run's window and cumulative histograms, and the
+// per-window p99 series closed at full window boundaries (partial flushes
+// accumulate without closing, so the series stays aligned with the
+// throughput series).
 func (s *Simulation) flushWindow(now time.Duration) {
 	observed := s.observer != nil
 	buf := s.sampleBuf[:0]
 	start := s.lastFlush
+	bucket := int(start / s.cfg.MetricsWindow)
 	memModel := s.cfg.MemoryModel
 	for _, run := range s.runs {
 		name := run.topo.Name()
 		for _, st := range run.ordered {
+			if bucket < len(run.sinkSeries) {
+				run.sinkSeries[bucket] += float64(st.winDelivered)
+				if st.winProcessed > 0 {
+					run.compSeries[st.comp.Name][bucket] += float64(st.winProcessed)
+				}
+			}
+			st.uncredited += st.winBusy
 			if observed {
 				sample := TaskSample{
 					Topology:        name,
@@ -256,6 +266,7 @@ func (t *simTask) materializeEdges() []EdgeRate {
 func (t *simTask) resetWindow() {
 	t.winBusy = 0
 	t.winProcessed = 0
+	t.winDelivered = 0
 	t.winEmitted = 0
 	t.winOverflows = 0
 	t.winBytesOut = 0

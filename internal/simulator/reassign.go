@@ -35,9 +35,9 @@ func (s *Simulation) Reassign(topoName string, a *core.Assignment) (int, error) 
 //     normalized back to its actual placement, since a planner working
 //     from measured availability will legitimately want it elsewhere.
 //
-// Each moved task's busy time so far is credited to the host it ran on,
-// the affected nodes' contention is refrozen, and the run's delivery wires
-// are rebuilt. Nothing changes unless the whole assignment validates. It
+// The partial window is flushed first, each moved task's busy time so far
+// is credited to the host it ran on, the affected nodes' contention is
+// refrozen, and the run's delivery wires are rebuilt. Nothing changes unless the whole assignment validates. It
 // returns the number of tasks migrated or restarted.
 func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, restart map[int]bool) (int, error) {
 	run, err := s.epochRun(topoName)
@@ -74,9 +74,10 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 	}
 
 	// Flush the partial window accumulated since the last boundary before
-	// anything moves, so the observer's samples attribute the pre-migration
-	// slice to the nodes the work actually ran on. A no-op when the epoch
-	// boundary coincides with a window flush (the adaptive loop's default).
+	// anything moves: the samples attribute the pre-migration slice to the
+	// nodes the work ran on, and moveTask's creditHost finds every busy
+	// time in uncredited. A no-op when the epoch boundary coincides with a
+	// window flush (the adaptive loop's default).
 	s.flushPartialWindow()
 	affected := make(map[*simNode]bool, 2*(len(moving)+len(restarting)))
 	departed := make([]*simLane, len(moving))
@@ -89,7 +90,7 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 		// stale; credit it now, so moveTask attributes it to the host it
 		// ran on.
 		if st.serviceEnd > 0 && st.serviceEnd >= s.now() {
-			st.tracker.AddBusy(st.service)
+			st.uncredited += st.service
 			st.serviceEnd = 0
 		}
 		// The queue was drained when the task died.
@@ -195,11 +196,11 @@ func (s *Simulation) moveTask(st *simTask, p core.Placement, affected map[*simNo
 
 // creditHost credits the busy time the task accrued since its last credit
 // to the node it runs on, so end-of-run utilization is attributed to each
-// host the task ran on.
+// host the task ran on. Its callers flush the partial window first, so
+// uncredited holds all of it.
 func (st *simTask) creditHost() {
-	busy := st.tracker.Busy()
-	st.node.departedWeighted += float64(busy-st.creditedBusy) * st.comp.EffectiveCPUPoints()
-	st.creditedBusy = busy
+	st.node.departedWeighted += float64(st.uncredited) * st.comp.EffectiveCPUPoints()
+	st.uncredited = 0
 }
 
 // failQueue empties a task's input queue and waiter list on this lane:

@@ -206,48 +206,16 @@ func (s *Simulation) buildResult() *Result {
 			latSum += st.totLatSum
 			latN += st.totLatN
 		}
-		// Per-sink-component series, summed over the component's tasks.
-		// Bucket values are integer tuple counts (exact in float64), so
-		// per-task sums reproduce the old shared-series values exactly. A
-		// component with no recording task contributes no series, matching
-		// the old lazily-populated maps.
-		var sinkSeries [][]float64
-		for _, comp := range run.topo.Sinks() {
-			var agg []float64
-			for _, st := range run.ordered {
-				if st.comp.Name != comp.Name || st.sinkWin == nil {
-					continue
-				}
-				series := st.sinkWin.Series(s.cfg.Duration)
-				if agg == nil {
-					agg = series
-					continue
-				}
-				for i := range series {
-					agg[i] += series[i]
-				}
-			}
-			if agg != nil {
-				sinkSeries = append(sinkSeries, agg)
-			}
-		}
-		tr.SinkSeries = metrics.SumSeries(sinkSeries...)
-		if len(tr.SinkSeries) == 0 {
-			tr.SinkSeries = make([]float64, int(s.cfg.Duration/s.cfg.MetricsWindow))
-		}
+		// The flushes built the series. Bucket values are integer tuple
+		// counts, exact in float64, so the order tasks fold in does not
+		// matter. A component no task of which ever executed a tuple
+		// reports no series.
+		tr.SinkSeries = run.sinkSeries
 		tr.MeanSinkThroughput = metrics.MeanTail(tr.SinkSeries, s.cfg.WarmupWindows)
 		for _, st := range run.ordered {
-			if st.procWin == nil {
-				continue
+			if st.totProcessed > 0 {
+				tr.ComponentSeries[st.comp.Name] = run.compSeries[st.comp.Name]
 			}
-			series := st.procWin.Series(s.cfg.Duration)
-			if cur, ok := tr.ComponentSeries[st.comp.Name]; ok {
-				for i := range series {
-					cur[i] += series[i]
-				}
-				continue
-			}
-			tr.ComponentSeries[st.comp.Name] = series
 		}
 		if latN > 0 {
 			tr.MeanLatency = latSum / time.Duration(latN)
@@ -274,10 +242,11 @@ func (s *Simulation) buildResult() *Result {
 		util := 0.0
 		if n.spec.Capacity.CPU > 0 {
 			// Current residents contribute the busy time they accrued
-			// here; work done before an inbound migration was credited to
-			// the previous host (departedWeighted) when the task moved.
+			// here, the window still open at Duration included; work done
+			// before an inbound migration was credited to the previous
+			// host (departedWeighted) when the task moved.
 			for _, t := range n.tasks {
-				busy := t.tracker.Busy() - t.creditedBusy
+				busy := t.uncredited + t.winBusy
 				util += float64(busy) / float64(s.cfg.Duration) *
 					t.comp.EffectiveCPUPoints() / n.spec.Capacity.CPU
 			}

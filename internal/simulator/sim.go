@@ -7,7 +7,6 @@ import (
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
 	"rstorm/internal/faults"
-	"rstorm/internal/metrics"
 	"rstorm/internal/pardes"
 	"rstorm/internal/topology"
 	"rstorm/internal/trace"
@@ -60,8 +59,7 @@ type simTask struct {
 	dead      bool
 	// inc is the executor's incarnation, bumped by each restart
 	// (ReassignRestarting); task events carry the one that scheduled them.
-	inc     uint32
-	tracker metrics.BusyTracker
+	inc uint32
 	// serviceEnd is when the bolt's latest service completes (0 before
 	// its first). A restart before then credits that service to the host
 	// it ran on, since its completion will fire stale.
@@ -69,13 +67,6 @@ type simTask struct {
 	// service is the stretched per-tuple cost, frozen at Run start once
 	// the node's overcommit factor is known.
 	service time.Duration
-	// procWin / sinkWin are the task's own metric series, lazily allocated
-	// on first record so a task that never processes (or never sinks)
-	// keeps no series. Per-task ownership keeps the hot path free of map
-	// lookups and of cross-lane writes; buildResult sums tasks into the
-	// per-component series the Result reports.
-	procWin *metrics.Windowed
-	sinkWin *metrics.Windowed
 
 	// outBuf is the task's delivery scratch buffer. A task has at most
 	// one emission in flight (spouts park until the previous root tuple's
@@ -85,10 +76,11 @@ type simTask struct {
 	outBuf []outbound
 	outIdx int
 
-	// creditedBusy is the busy time already attributed to previous host
-	// nodes at migration time (see Reassign); tracker.Busy() minus this is
-	// what the current host has seen.
-	creditedBusy time.Duration
+	// uncredited is busy time not yet credited to a host: each flush
+	// folds winBusy into it, and a service that ends on a dead or
+	// restarted executor goes straight into it. creditHost moves it to
+	// the current host; buildResult reads what is left.
+	uncredited time.Duration
 
 	// handled counts tuples this task has executed over its lifetime
 	// (bolt executions, spout root emissions) — the clock of the memory
@@ -110,10 +102,12 @@ type simTask struct {
 	// Config.Replay off.
 	replayQ []spoutReplay
 
-	// Per-window counters for the metrics tap (observer.go). Plain adds on
-	// the hot path; materialized and reset at window flushes.
+	// Per-window counters (observer.go). Plain adds on the hot path;
+	// folded into samples, the run's series and uncredited, and reset, at
+	// each window flush.
 	winBusy      time.Duration
 	winProcessed int64
+	winDelivered int64
 	winEmitted   int64
 	winOverflows int64
 	winBytesOut  int64
@@ -194,6 +188,12 @@ type topoRun struct {
 	tasks      map[int]*simTask
 	ordered    []*simTask // dense task-ID order, for iteration
 	maxPending int        // per-spout-task tuple-tree cap
+
+	// sinkSeries counts sink arrivals and compSeries each bolt
+	// component's executions per metrics window: flushWindow folds the
+	// tasks' window counters in. A trailing partial window has no bucket.
+	sinkSeries []float64
+	compSeries map[string][]float64
 
 	// winHist / cumHist aggregate the run's sink-task histograms per
 	// window and over the whole run (Config.LatencyHistograms); latP99
@@ -364,6 +364,9 @@ func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) *topoRu
 	if run.maxPending <= 0 {
 		run.maxPending = s.cfg.MaxSpoutPending
 	}
+	windows := int(s.cfg.Duration / s.cfg.MetricsWindow)
+	run.sinkSeries = make([]float64, windows)
+	run.compSeries = make(map[string][]float64)
 	if s.cfg.LatencyHistograms {
 		run.winHist = trace.NewHistogram()
 		run.cumHist = trace.NewHistogram()
@@ -388,6 +391,8 @@ func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) *topoRu
 		}
 		if comp.Kind == topology.KindSpout {
 			st.isSpout = 1
+		} else if run.compSeries[comp.Name] == nil {
+			run.compSeries[comp.Name] = make([]float64, windows)
 		}
 		if s.cfg.LatencyHistograms && st.isSink {
 			st.hist = trace.NewHistogram()
@@ -490,21 +495,17 @@ func (s *Simulation) Start() error {
 			}
 		}
 	}
-	// Latency histograms ride the same flush cadence as the observer:
-	// window boundaries close each topology's per-window percentile
-	// sample whether or not anyone taps the samples. Flushes happen at
-	// barriers (sharded.go), where every lane is quiescent and task state
-	// is safe to read across lanes. A flush at time T materializes
+	// Every window boundary is a flush, observed or not: the flush is the
+	// run's one window ledger (observer.go). Flushes happen at barriers
+	// (sharded.go), where every lane is quiescent and task state is safe
+	// to read across lanes. A flush at time T materializes
 	// [lastFlush, T): it runs before any event at exactly T.
-	if (s.observer != nil || s.cfg.LatencyHistograms) && s.cfg.MetricsWindow <= s.cfg.Duration {
-		s.nextFlush = s.cfg.MetricsWindow
-	}
-	// OOM enforcement shares the window cadence but not the observer: the
-	// memory hard axis is enforced whether or not anyone is watching. The
-	// check is an event at the boundary, so it fires after the barrier's
-	// flush: the observer samples the over-capacity window before the
-	// kill happens. Each lane enforces its own nodes.
-	if s.cfg.MemoryModel && s.cfg.MetricsWindow <= s.cfg.Duration {
+	s.nextFlush = s.cfg.MetricsWindow
+	// OOM enforcement shares the window cadence: the check is an event at
+	// the boundary, so it fires after the barrier's flush, and the
+	// observer samples the over-capacity window before the kill happens.
+	// Each lane enforces its own nodes.
+	if s.cfg.MemoryModel {
 		for _, ln := range s.lanes {
 			ln.eng.ScheduleEvent(s.cfg.MetricsWindow, ln.newEvent(evOOMCheck))
 		}
@@ -629,7 +630,6 @@ func (ln *simLane) spoutFire(t *simTask) {
 		return
 	}
 	s := ln.sim
-	t.tracker.AddBusy(t.service)
 	t.winBusy += t.service
 	t.winEmitted++
 	t.handled++
@@ -711,12 +711,13 @@ func (ln *simLane) boltTry(t *simTask) {
 //rstorm:hotpath
 func (ln *simLane) boltFire(t *simTask, tup *tuple) {
 	s := ln.sim
-	t.tracker.AddBusy(t.service)
 	if t.dead {
 		// The task's node died mid-service: the tuple is lost. Count the
 		// drop and fail its tree so the spout's max-pending credit comes
 		// back instead of leaking (a small window could otherwise wedge
-		// the spout for the rest of the run).
+		// the spout for the rest of the run). The service still ran on its
+		// host, outside any sample.
+		t.uncredited += t.service
 		ln.dropTuple(tup)
 		return
 	}
@@ -725,10 +726,6 @@ func (ln *simLane) boltFire(t *simTask, tup *tuple) {
 	t.winBusy += t.service
 	t.winProcessed++
 	t.handled++
-	if t.procWin == nil {
-		t.procWin = newWindowed(s.cfg.MetricsWindow)
-	}
-	t.procWin.Record(now, 1)
 	if id := s.traceOf(tup); id != 0 {
 		wait := now - t.service - tup.arrivedAt
 		if wait < 0 {
@@ -952,10 +949,7 @@ func (ln *simLane) recordSink(t *simTask, now, created time.Duration) {
 		return
 	}
 	t.totDelivered++
-	if t.sinkWin == nil {
-		t.sinkWin = newWindowed(s.cfg.MetricsWindow)
-	}
-	t.sinkWin.Record(now, 1)
+	t.winDelivered++
 	t.totLatSum += age
 	t.totLatN++
 }
@@ -1028,11 +1022,4 @@ func (ln *simLane) failNode(id cluster.NodeID) {
 		ln.failQueue(t, false)
 	}
 	n.nic.fail(ln)
-}
-
-// newWindowed allocates a per-task metric series. The window is always a
-// validated config value, so the error branch is unreachable.
-func newWindowed(window time.Duration) *metrics.Windowed {
-	w, _ := metrics.NewWindowed(window)
-	return w
 }

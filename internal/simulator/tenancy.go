@@ -85,7 +85,8 @@ func (s *Simulation) KillTopology(name string) error {
 		return fmt.Errorf("topology %q is already dead", name)
 	}
 
-	// Attribute the pre-kill slice of the window before anything changes.
+	// Flush the pre-kill slice of the window before anything changes, so
+	// creditHost below finds every busy time in uncredited.
 	s.flushPartialWindow()
 	affected := make(map[*simNode]bool, len(run.ordered))
 	for _, st := range run.ordered {

@@ -40,6 +40,10 @@ const (
 // is admitted downstream. Stored by value in queue waiters and transfers.
 type completion struct {
 	kind uint8
+	// inc is the emitter's incarnation when a compDeliver hand-off began.
+	// A restart abandons the delivery sequence in progress, so a
+	// completion from an earlier incarnation is stale and does nothing.
+	inc  uint32
 	task *simTask // compDeliver: the emitter whose delivery advances
 	link *link    // compRelease: the link regaining a window slot
 }
@@ -232,6 +236,9 @@ func (ln *simLane) scheduleArrive(delay time.Duration, dest *simTask, tup *tuple
 func (ln *simLane) complete(c completion) {
 	switch c.kind {
 	case compDeliver:
+		if c.inc != c.task.inc {
+			return
+		}
 		c.task.outIdx++
 		ln.stepDeliver(c.task)
 	case compRelease:

@@ -30,7 +30,10 @@ func (s *Simulation) Reassign(topoName string, a *core.Assignment) (int, error) 
 //     Tuples already in flight toward it are delivered normally.
 //   - A dead task in restart is revived empty at its placement, which must
 //     be a live node; a restarted spout re-enters its cycle, parking until
-//     stale trees from before its death finish draining credits.
+//     stale trees from before its death finish draining credits. An
+//     emission it was still delivering is abandoned: the outbounds not yet
+//     handed off fail (counted in Result.TuplesDropped), and the pending
+//     hand-off's completion fires stale.
 //   - A dead task outside restart stays where it died: its entry in a is
 //     normalized back to its actual placement, since a planner working
 //     from measured availability will legitimately want it elsewhere.
@@ -80,11 +83,11 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 	// window flush (the adaptive loop's default).
 	s.flushPartialWindow()
 	affected := make(map[*simNode]bool, 2*(len(moving)+len(restarting)))
-	departed := make([]*simLane, len(moving))
+	departed := make([]*simLane, len(moving)+len(restarting))
 	for i, st := range moving {
 		departed[i] = s.moveTask(st, a.Placements[st.task.ID], affected)
 	}
-	for _, st := range restarting {
+	for i, st := range restarting {
 		// A service still pending from before the death (events at the
 		// pause instant included: windows are half-open) will complete
 		// stale; credit it now, so moveTask attributes it to the host it
@@ -94,14 +97,11 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 			st.serviceEnd = 0
 		}
 		// The queue was drained when the task died.
-		s.moveTask(st, a.Placements[st.task.ID], affected)
+		departed[len(moving)+i] = s.moveTask(st, a.Placements[st.task.ID], affected)
 		st.dead = false
 		st.busy = false
 		st.parked = false
 		st.inc++
-		// outBuf/outIdx stay: a stale delivery sequence from before the
-		// death finishes deterministically, and every new emission resets
-		// the cursor itself (spoutFire/boltFire).
 	}
 	// Refreeze contention on every node whose task set changed (refreeze
 	// skips dead nodes: a restarting task's old node may still be down),
@@ -111,7 +111,8 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 	// Pending events homed by a moved task must follow it to its new lane
 	// before the next window, or two lanes would mutate it.
 	s.rehomeEvents()
-	// A migrated task restarts empty on its new node. Each queue fails on
+	// A migrated task restarts empty on its new node, and a restarted one
+	// abandons the emission its predecessor was delivering. Each fails on
 	// the lane the task departed — the failed trees and released
 	// producers belong to the placement the tuples ran under — but only
 	// after every task has moved and rehomeEvents has folded the in-flight
@@ -120,6 +121,9 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 	// no removal can overtake a pending fan-out.
 	for i, st := range moving {
 		departed[i].failQueue(st, true)
+	}
+	for i, st := range restarting {
+		departed[len(moving)+i].abandonEmission(st)
 	}
 	for _, st := range restarting {
 		if st.isSpout == 1 {
@@ -220,6 +224,20 @@ func (ln *simLane) failQueue(st *simTask, migrated bool) {
 	for _, comp := range unblocked {
 		ln.scheduleComplete(0, comp)
 	}
+}
+
+// abandonEmission drops, on this lane, the outbounds of the emission st
+// was delivering that were not yet handed off (outBuf[outIdx+1:]), so
+// their trees fail and release their credits, and empties the buffer. The
+// outbound at outIdx was handed off; its completion fires stale.
+func (ln *simLane) abandonEmission(st *simTask) {
+	if st.outIdx < len(st.outBuf) {
+		for _, ob := range st.outBuf[st.outIdx+1:] {
+			ln.dropTuple(ob.tup)
+		}
+	}
+	st.outBuf = st.outBuf[:0]
+	st.outIdx = 0
 }
 
 // DeadNodes returns the nodes killed by failure injection so far, in

@@ -828,7 +828,7 @@ func (ln *simLane) stepDeliver(t *simTask) {
 		ln.finishDeliver(t)
 		return
 	}
-	ln.deliver(t, t.outBuf[t.outIdx], completion{kind: compDeliver, task: t})
+	ln.deliver(t, t.outBuf[t.outIdx], completion{kind: compDeliver, inc: t.inc, task: t})
 }
 
 // finishDeliver runs after the last outbound of an emission is accepted:

@@ -469,3 +469,106 @@ func TestStaleServiceTakesDeadPath(t *testing.T) {
 			ids[1], got, want)
 	}
 }
+
+// TestReviveAbandonsStaleDelivery kills a topology whose spout is parked
+// on its 5 ms or 50 ms bolt's full queue and revives it at the same
+// instant. The kill releases the parked spout, and that delivery
+// completion, still pending at the revive, belongs to the dead
+// incarnation: it must not advance the restarted spout's delivery
+// cursor. Stepping the event loop event by event, no spout emission may
+// start while the spout's previous emission is still being delivered.
+func TestReviveAbandonsStaleDelivery(t *testing.T) {
+	for _, boltCost := range []time.Duration{5 * time.Millisecond, 50 * time.Millisecond} {
+		c := emulabCluster(t)
+		ids := c.NodeIDs()
+		topo, _ := twoNodeChain(t, boltCost, 100000)
+		sim, err := New(c, Config{Duration: 4 * time.Second, MetricsWindow: time.Second})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := sim.AddTopology(topo, pairAssignment(topo, ids[0], ids[1])); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.RunTo(1005 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.KillTopology("pair"); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.SubmitTopology(topo, pairAssignment(topo, ids[0], ids[1])); err != nil {
+			t.Fatalf("revive: %v", err)
+		}
+		spout := sim.runNamed("pair").ordered[0]
+		eng := sim.lanes[0].eng
+		overlapped, emitted := 0, spout.totEmitted
+		for at, ok := eng.PeekTime(); ok && at < 1500*time.Millisecond; at, ok = eng.PeekTime() {
+			delivering := spout.outIdx < len(spout.outBuf)
+			eng.Step()
+			if spout.totEmitted > emitted && delivering {
+				overlapped++
+			}
+			emitted = spout.totEmitted
+		}
+		if overlapped > 0 {
+			t.Errorf("%v bolt: %d spout emissions started mid-delivery after the revive", boltCost, overlapped)
+		}
+	}
+}
+
+// TestReviveFailsUndeliveredOutbounds kills a topology while its spout is
+// blocked on the first of the two outbounds an all-grouped emission makes
+// and revives it at the same instant. The second outbound was never
+// handed off, so the restart drops it, which completes the emission's
+// tree and returns its max-pending credit.
+func TestReviveFailsUndeliveredOutbounds(t *testing.T) {
+	c := emulabCluster(t)
+	ids := c.NodeIDs()
+	b := topology.NewBuilder("fan")
+	b.SetMaxSpoutPending(100000)
+	b.SetSpout("s", 1).SetCPULoad(5).SetMemoryLoad(64).
+		SetProfile(topology.ExecProfile{CPUPerTuple: time.Millisecond, TupleBytes: 64})
+	b.SetBolt("d", 2).AllGrouping("s").SetCPULoad(5).SetMemoryLoad(64).
+		SetProfile(topology.ExecProfile{CPUPerTuple: 50 * time.Millisecond, TupleBytes: 64})
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	a := core.NewAssignment("fan", "manual")
+	for _, task := range topo.Tasks() {
+		a.Place(task.ID, core.Placement{Node: ids[0], Slot: 0})
+	}
+	sim, err := New(c, Config{Duration: 4 * time.Second, MetricsWindow: time.Second})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := sim.AddTopology(topo, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunTo(1005 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.KillTopology("fan"); err != nil {
+		t.Fatal(err)
+	}
+	spout, ln := sim.runNamed("fan").ordered[0], sim.lanes[0]
+	if len(spout.outBuf) != 2 || spout.outIdx != 0 {
+		t.Fatalf("setup: spout at outbound %d of %d, want 0 of 2", spout.outIdx, len(spout.outBuf))
+	}
+	dropped, inFlight := ln.dropped, spout.inFlight
+	if err := sim.SubmitTopology(topo, a); err != nil {
+		t.Fatalf("revive: %v", err)
+	}
+	if ln.dropped != dropped+1 || spout.inFlight != inFlight-1 {
+		t.Errorf("revive dropped %d tuples and released %d credits, want 1 and 1",
+			ln.dropped-dropped, inFlight-spout.inFlight)
+	}
+	if len(spout.outBuf) != 0 {
+		t.Errorf("restarted spout kept %d outbounds", len(spout.outBuf))
+	}
+}

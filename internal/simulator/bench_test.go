@@ -11,10 +11,12 @@ import (
 )
 
 // benchChainTopo is chainTopo for benchmarks and allocation tests (it
-// takes testing.TB, where the helpers in sim_test.go take *testing.T).
-func benchChainTopo(b testing.TB, par int, spoutCost, boltCost time.Duration) *topology.Topology {
+// takes testing.TB, where the helpers in sim_test.go take *testing.T),
+// with a max spout pending (0: the simulator's default).
+func benchChainTopo(b testing.TB, par int, spoutCost, boltCost time.Duration, maxPending int) *topology.Topology {
 	b.Helper()
 	bld := topology.NewBuilder("chain")
+	bld.SetMaxSpoutPending(maxPending)
 	bld.SetSpout("spout", par).
 		SetCPULoad(20).SetMemoryLoad(128).
 		SetProfile(topology.ExecProfile{CPUPerTuple: spoutCost, TupleBytes: 256})
@@ -65,18 +67,20 @@ func benchSim(b testing.TB, topo *topology.Topology, cfg Config) (*Simulation, t
 
 // steadyStateConfig and overloadConfig are the workloads of the tuple-path
 // benchmarks, shared with TestTuplePathAllocs.
+// The overload workload's spouts may hold 1024 trees each, far more than
+// the 128-tuple bolt queues take, so the queues stay full and producers
+// park on them.
 func steadyStateConfig(tb testing.TB) (*topology.Topology, Config) {
-	return benchChainTopo(tb, 2, 200*time.Microsecond, 100*time.Microsecond), Config{
+	return benchChainTopo(tb, 2, 200*time.Microsecond, 100*time.Microsecond, 0), Config{
 		Duration:      24 * time.Hour,
 		MetricsWindow: time.Second,
 	}
 }
 
 func overloadConfig(tb testing.TB) (*topology.Topology, Config) {
-	return benchChainTopo(tb, 2, 50*time.Microsecond, 400*time.Microsecond), Config{
+	return benchChainTopo(tb, 2, 50*time.Microsecond, 400*time.Microsecond, 1024), Config{
 		Duration:      24 * time.Hour,
 		MetricsWindow: time.Second,
-		QueueCapacity: 4,
 		TupleTimeout:  500 * time.Millisecond,
 	}
 }
@@ -91,11 +95,12 @@ func overloadConfig(tb testing.TB) (*topology.Topology, Config) {
 // allocation of its own would show in every run.
 func TestTuplePathAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		config func(testing.TB) (*topology.Topology, Config)
+		name     string
+		config   func(testing.TB) (*topology.Topology, Config)
+		backedUp bool // bolt queues full with producers parked
 	}{
-		{"steady-state", steadyStateConfig},
-		{"overload", overloadConfig},
+		{"steady-state", steadyStateConfig, false},
+		{"overload", overloadConfig, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo, cfg := tc.config(t)
@@ -118,6 +123,15 @@ func TestTuplePathAllocs(t *testing.T) {
 			if mallocs > allowance {
 				t.Fatalf("%d mallocs over %d RunTo slices, want at most %d: the tuple path or a flush allocates",
 					mallocs, slices, allowance)
+			}
+			full := 0
+			for _, st := range sim.runs[0].ordered {
+				if st.queue.len() == queueCapacity && st.queue.waiters.Len() > 0 {
+					full++
+				}
+			}
+			if backedUp := full > 0; backedUp != tc.backedUp {
+				t.Errorf("%d bolt queues full with parked producers, want backed up %v", full, tc.backedUp)
 			}
 		})
 	}
@@ -159,7 +173,7 @@ func BenchmarkTuplePathOverload(b *testing.B) {
 // BenchmarkMemoryModelSteadyState adds the memory model so the per-tuple
 // residentMemMB/nodeResidentMemMB accounting is on the measured path.
 func BenchmarkMemoryModelSteadyState(b *testing.B) {
-	topo := benchChainTopo(b, 2, 200*time.Microsecond, 100*time.Microsecond)
+	topo := benchChainTopo(b, 2, 200*time.Microsecond, 100*time.Microsecond, 0)
 	sim, now := benchSim(b, topo, Config{
 		Duration:      24 * time.Hour,
 		MetricsWindow: time.Second,
@@ -177,7 +191,7 @@ func BenchmarkMemoryModelSteadyState(b *testing.B) {
 
 // BenchmarkLatencyHistogramPath puts Histogram.Observe on the sink path.
 func BenchmarkLatencyHistogramPath(b *testing.B) {
-	topo := benchChainTopo(b, 2, 200*time.Microsecond, 100*time.Microsecond)
+	topo := benchChainTopo(b, 2, 200*time.Microsecond, 100*time.Microsecond, 0)
 	sim, now := benchSim(b, topo, Config{
 		Duration:          24 * time.Hour,
 		MetricsWindow:     time.Second,

@@ -37,13 +37,10 @@ type Config struct {
 	// less virtual time. Default 60s.
 	Duration time.Duration
 	// MetricsWindow is the throughput bucket size. The paper reports
-	// tuples per 10 s. Default 10s.
+	// tuples per 10 s. Default 10s. Every window boundary flushes the
+	// window's counters into the Result's series, node utilization and
+	// any observer's samples (observer.go).
 	MetricsWindow time.Duration
-	// QueueCapacity bounds each task's input queue (tuples). Default 128.
-	QueueCapacity int
-	// MaxSpoutPending is the per-spout-task cap on incomplete tuple
-	// trees (Storm's topology.max.spout.pending). Default 64.
-	MaxSpoutPending int
 	// TupleTimeout is Storm's topology.message.timeout.secs: a tuple
 	// arriving at a sink later than this after its spout emit does not
 	// count as delivered (it would have been failed and replayed).
@@ -53,11 +50,6 @@ type Config struct {
 	TupleTimeout time.Duration
 	// Seed seeds every spout's deterministic key stream. Default 1.
 	Seed int64
-	// WarmupWindows are dropped from mean-throughput summaries, matching
-	// the paper's convergence wait (§6.2). Default 1. Zero also means the
-	// default (the zero value must not silently change summaries); pass
-	// NoWarmup (-1) to include every window in the mean.
-	WarmupWindows int
 	// Replay enables at-least-once delivery (Storm's acking contract,
 	// DESIGN.md §7): a tuple tree failed by a crash or queue drain
 	// re-emits its root from the spout — on the credit it already holds —
@@ -105,8 +97,16 @@ type Config struct {
 	Shards int
 }
 
-// Link and replay parameters no caller varies.
+// Queue, flow-control, link and replay parameters no caller varies.
 const (
+	// queueCapacity bounds each task's input queue (tuples).
+	queueCapacity = 128
+	// maxSpoutPending caps incomplete tuple trees per spout task (Storm's
+	// topology.max.spout.pending) unless the topology declares its own.
+	maxSpoutPending = 64
+	// warmupWindows leading windows are dropped from mean-throughput
+	// summaries, matching the paper's convergence wait (§6.2).
+	warmupWindows = 1
 	// nicQueueCapacity bounds each node's egress queue (transfers), and
 	// nicWindow caps the NIC's transfers awaiting remote acceptance,
 	// approximating TCP windowing. A rack uplink has four times both.
@@ -119,11 +119,6 @@ const (
 	replayBackoff    = 50 * time.Millisecond
 )
 
-// NoWarmup is the WarmupWindows sentinel for "drop nothing": the mean
-// includes the first window. (0 keeps the default of 1 warm-up window, so
-// zero-valued Configs behave as before.)
-const NoWarmup = -1
-
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.Duration == 0 {
@@ -132,19 +127,8 @@ func (c Config) withDefaults() Config {
 	if c.MetricsWindow == 0 {
 		c.MetricsWindow = 10 * time.Second
 	}
-	if c.QueueCapacity == 0 {
-		c.QueueCapacity = 128
-	}
-	if c.MaxSpoutPending == 0 {
-		c.MaxSpoutPending = 64
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.WarmupWindows == 0 {
-		c.WarmupWindows = 1
-	} else if c.WarmupWindows < 0 {
-		c.WarmupWindows = 0 // NoWarmup sentinel: 0 warm-up windows
 	}
 	return c
 }
@@ -160,14 +144,6 @@ func (c Config) validate() error {
 	if c.MetricsWindow > c.Duration {
 		return fmt.Errorf("metrics window %v exceeds duration %v", c.MetricsWindow, c.Duration)
 	}
-	if c.QueueCapacity < 1 {
-		return fmt.Errorf("queue capacity %d, want >= 1", c.QueueCapacity)
-	}
-	if c.MaxSpoutPending < 1 {
-		return fmt.Errorf("max spout pending %d, want >= 1", c.MaxSpoutPending)
-	}
-	// WarmupWindows needs no validation: withDefaults maps 0 to the
-	// default of 1 and any negative (the NoWarmup sentinel) to 0.
 	if c.TupleTimeout < 0 {
 		return fmt.Errorf("tuple timeout %v, want >= 0", c.TupleTimeout)
 	}

@@ -203,7 +203,7 @@ func (s *Simulation) flushWindow(now time.Duration) {
 					Processed:       st.winProcessed,
 					Emitted:         st.winEmitted,
 					QueueLen:        st.queue.len(),
-					QueueCap:        s.cfg.QueueCapacity,
+					QueueCap:        queueCapacity,
 					Overflows:       st.winOverflows,
 					BytesOut:        st.winBytesOut,
 					LatencySum:      st.winLatSum,

@@ -132,7 +132,7 @@ func TestObserverSamplesWindows(t *testing.T) {
 			if u := s.Utilization(); u < 0 || u > 1 {
 				t.Errorf("utilization %v out of range", u)
 			}
-			if s.QueueCap != shortCfg().QueueCapacity && s.QueueCap != 128 {
+			if s.QueueCap != queueCapacity {
 				t.Errorf("queue cap %d not propagated", s.QueueCap)
 			}
 			if s.Slowdown < 1 {
@@ -177,8 +177,7 @@ func TestReassignRelievesOvercommit(t *testing.T) {
 		packed.Place(task.ID, core.Placement{Node: ids[0], Slot: 0})
 	}
 
-	cfg := Config{Duration: 12 * time.Second, MetricsWindow: time.Second, WarmupWindows: 1}
-	sim, err := New(c, cfg)
+	sim, err := New(c, Config{Duration: 12 * time.Second, MetricsWindow: time.Second})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -161,7 +161,7 @@ func (s *Simulation) buildResult() *Result {
 	res := &Result{
 		Duration:        s.cfg.Duration,
 		Window:          s.cfg.MetricsWindow,
-		WarmupWindows:   s.cfg.WarmupWindows,
+		WarmupWindows:   warmupWindows,
 		Topologies:      make(map[string]*TopologyResult, len(s.runs)),
 		NodeUtilization: make(map[cluster.NodeID]float64, len(s.order)),
 		NICUtilization:  make(map[cluster.NodeID]float64, len(s.order)),
@@ -211,7 +211,7 @@ func (s *Simulation) buildResult() *Result {
 		// matter. A component no task of which ever executed a tuple
 		// reports no series.
 		tr.SinkSeries = run.sinkSeries
-		tr.MeanSinkThroughput = metrics.MeanTail(tr.SinkSeries, s.cfg.WarmupWindows)
+		tr.MeanSinkThroughput = metrics.MeanTail(tr.SinkSeries, warmupWindows)
 		for _, st := range run.ordered {
 			if st.totProcessed > 0 {
 				tr.ComponentSeries[st.comp.Name] = run.compSeries[st.comp.Name]
@@ -231,7 +231,7 @@ func (s *Simulation) buildResult() *Result {
 		}
 		if firstCrash >= 0 {
 			tr.RecoveryTime = recoveryTime(tr.SinkSeries, firstCrash,
-				s.cfg.MetricsWindow, s.cfg.WarmupWindows)
+				s.cfg.MetricsWindow, warmupWindows)
 		}
 		res.Topologies[tr.Name] = tr
 	}

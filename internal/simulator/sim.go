@@ -362,7 +362,7 @@ func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) *topoRu
 		maxPending: topo.MaxSpoutPending(),
 	}
 	if run.maxPending <= 0 {
-		run.maxPending = s.cfg.MaxSpoutPending
+		run.maxPending = maxSpoutPending
 	}
 	windows := int(s.cfg.Duration / s.cfg.MetricsWindow)
 	run.sinkSeries = make([]float64, windows)
@@ -385,7 +385,7 @@ func (s *Simulation) addRun(topo *topology.Topology, a *core.Assignment) *topoRu
 			comp:      comp,
 			node:      node,
 			placement: p,
-			queue:     newBoundedQueue(s.cfg.QueueCapacity),
+			queue:     newBoundedQueue(queueCapacity),
 			isSink:    sinkSet[comp.Name],
 			rngState:  taskSeed(s.cfg.Seed, topo.Name(), task.ID),
 		}

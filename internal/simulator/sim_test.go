@@ -66,7 +66,6 @@ func shortCfg() Config {
 	return Config{
 		Duration:      10 * time.Second,
 		MetricsWindow: time.Second,
-		WarmupWindows: 2,
 	}
 }
 
@@ -158,6 +157,7 @@ func TestNICBoundThroughputScalesWithTupleSize(t *testing.T) {
 	}
 	run := func(bytes int) float64 {
 		b := topology.NewBuilder("wire")
+		b.SetMaxSpoutPending(512) // don't let latency dominate
 		b.SetSpout("s", 1).SetCPULoad(5).SetMemoryLoad(64).
 			SetProfile(topology.ExecProfile{CPUPerTuple: 5 * time.Microsecond, TupleBytes: bytes})
 		b.SetBolt("d", 1).ShuffleGrouping("s").SetCPULoad(5).SetMemoryLoad(64).
@@ -169,9 +169,7 @@ func TestNICBoundThroughputScalesWithTupleSize(t *testing.T) {
 		a := core.NewAssignment("wire", "manual")
 		a.Place(0, core.Placement{Node: c.NodeIDs()[0], Slot: 0})
 		a.Place(1, core.Placement{Node: c.NodeIDs()[1], Slot: 0})
-		cfg := shortCfg()
-		cfg.MaxSpoutPending = 512 // don't let latency dominate
-		sim, err := New(c, cfg)
+		sim, err := New(c, shortCfg())
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

@@ -38,7 +38,7 @@ func crossRackRun(t *testing.T, uplinkMbps float64, tupleBytes, maxPending int) 
 	a.Place(0, core.Placement{Node: "a", Slot: 0})
 	a.Place(1, core.Placement{Node: "b", Slot: 0})
 
-	sim, err := New(c, Config{Duration: 10 * time.Second, MetricsWindow: time.Second, WarmupWindows: 2})
+	sim, err := New(c, Config{Duration: 10 * time.Second, MetricsWindow: time.Second})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

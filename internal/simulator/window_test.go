@@ -131,43 +131,3 @@ func TestReassignMidWindowFlushesPartialWindow(t *testing.T) {
 		}
 	}
 }
-
-// TestWarmupWindowsZeroExpressible is the regression for the zero-value
-// ambiguity: an explicit "no warmup" used to be silently overridden to 1.
-// The NoWarmup sentinel must include the first window in the mean, while
-// the zero value keeps defaulting to one warm-up window.
-func TestWarmupWindowsZeroExpressible(t *testing.T) {
-	topo := chainTopo(t, 2, 150*time.Microsecond, 100*time.Microsecond, 256, 20)
-	c := emulabCluster(t)
-	run := func(warmup int) *Result {
-		return runOnce(t, topo, c, core.NewResourceAwareScheduler(), Config{
-			Duration:      4 * time.Second,
-			MetricsWindow: time.Second,
-			WarmupWindows: warmup,
-		})
-	}
-	noWarm := run(NoWarmup)
-	if noWarm.WarmupWindows != 0 {
-		t.Fatalf("NoWarmup resolved to %d warm-up windows, want 0", noWarm.WarmupWindows)
-	}
-	series := noWarm.Topology("chain").SinkSeries
-	var sum float64
-	for _, v := range series {
-		sum += v
-	}
-	if want := sum / float64(len(series)); noWarm.Topology("chain").MeanSinkThroughput != want {
-		t.Errorf("0-warmup mean = %v, want %v (all %d windows, first included)",
-			noWarm.Topology("chain").MeanSinkThroughput, want, len(series))
-	}
-	// The zero value still means the default of one warm-up window.
-	def := run(0)
-	if def.WarmupWindows != 1 {
-		t.Errorf("zero-value WarmupWindows resolved to %d, want the default 1", def.WarmupWindows)
-	}
-	// The first window covers the pipeline fill, so the two means differ —
-	// which is exactly why the sentinel must be expressible.
-	if def.Topology("chain").MeanSinkThroughput == noWarm.Topology("chain").MeanSinkThroughput &&
-		series[0] != series[1] {
-		t.Error("warm-up setting had no effect on the mean")
-	}
-}

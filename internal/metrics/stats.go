@@ -1,8 +1,13 @@
+// Package metrics is the arithmetic half of R-Storm's StatisticServer
+// module (§5.1): means over per-window throughput series, with warm-up
+// windows dropped, the improvement percentages the paper reports, and the
+// busy-time tracker behind link utilization. The series themselves (the
+// paper reports throughput as tuples per 10-second window) are built by
+// the simulator's window flush.
 package metrics
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -29,46 +34,6 @@ func MeanTail(xs []float64, skip int) float64 {
 		return Mean(xs)
 	}
 	return Mean(xs[skip:])
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// nearest-rank, or 0 for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
-// MinMax returns the smallest and largest values of xs, or zeros for empty
-// input.
-func MinMax(xs []float64) (minVal, maxVal float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	minVal, maxVal = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < minVal {
-			minVal = x
-		}
-		if x > maxVal {
-			maxVal = x
-		}
-	}
-	return minVal, maxVal
 }
 
 // ImprovementPct returns how much better `measured` is than `baseline`, in

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -22,35 +21,6 @@ func TestMeanAndTail(t *testing.T) {
 	}
 	if got := MeanTail([]float64{5, 1}, -3); got != 3 {
 		t.Errorf("MeanTail negative skip = %v", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{9, 1, 5, 3, 7}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {20, 1}, {50, 5}, {100, 9}, {101, 9}, {-5, 1},
-	}
-	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); got != tt.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("Percentile(nil)")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 0})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %v %v", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Errorf("MinMax(nil) = %v %v", lo, hi)
 	}
 }
 
@@ -85,24 +55,5 @@ func TestBusyTracker(t *testing.T) {
 	}
 	if got := b.Utilization(0); got != 0 {
 		t.Errorf("Utilization zero total = %v", got)
-	}
-}
-
-func TestQuickPercentileWithinRange(t *testing.T) {
-	f := func(raw []int16, pRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
-		}
-		p := float64(pRaw % 101)
-		v := Percentile(xs, p)
-		lo, hi := MinMax(xs)
-		return v >= lo && v <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

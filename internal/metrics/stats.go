@@ -50,7 +50,8 @@ func ImprovementPct(baseline, measured float64) float64 {
 }
 
 // BusyTracker accumulates busy intervals for utilization accounting. Not
-// safe for concurrent use; the simulator is single-threaded.
+// safe for concurrent use; in the simulator each tracker belongs to one
+// link, which only its own lane touches.
 type BusyTracker struct {
 	busy time.Duration
 }
@@ -61,9 +62,6 @@ func (b *BusyTracker) AddBusy(d time.Duration) {
 		b.busy += d
 	}
 }
-
-// Busy returns the accumulated busy time.
-func (b *BusyTracker) Busy() time.Duration { return b.busy }
 
 // Utilization returns busy/total clamped to [0, 1]; 0 if total <= 0.
 func (b *BusyTracker) Utilization(total time.Duration) float64 {

@@ -40,8 +40,9 @@ func (s *Simulation) Reassign(topoName string, a *core.Assignment) (int, error) 
 //
 // The partial window is flushed first, each moved task's busy time so far
 // is credited to the host it ran on, the affected nodes' contention is
-// refrozen, and the run's delivery wires are rebuilt. Nothing changes unless the whole assignment validates. It
-// returns the number of tasks migrated or restarted.
+// refrozen, and the run's delivery wires are rebuilt. Nothing changes
+// unless the whole assignment validates. It returns the number of tasks
+// migrated or restarted.
 func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, restart map[int]bool) (int, error) {
 	run, err := s.epochRun(topoName)
 	if err != nil {
@@ -124,8 +125,6 @@ func (s *Simulation) ReassignRestarting(topoName string, a *core.Assignment, res
 	}
 	for i, st := range restarting {
 		departed[len(moving)+i].abandonEmission(st)
-	}
-	for _, st := range restarting {
 		if st.isSpout == 1 {
 			st.node.lane.scheduleTask(0, evSpoutCycle, st)
 		}

@@ -328,6 +328,9 @@ func TestSimulationValidation(t *testing.T) {
 	if _, err := New(c, Config{Duration: time.Second, MetricsWindow: time.Minute}); err == nil {
 		t.Error("window > duration accepted")
 	}
+	if _, err := New(c, Config{Duration: time.Second, MetricsWindow: -time.Millisecond}); err == nil {
+		t.Error("negative window accepted")
+	}
 
 	sim, err := New(c, shortCfg())
 	if err != nil {

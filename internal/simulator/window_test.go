@@ -131,3 +131,76 @@ func TestReassignMidWindowFlushesPartialWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesMatchObserverWindows: the Result's throughput series and the
+// observer's samples come from the same flushes. A mid-window Reassign
+// splits window 1 into two flushes, which must land in one bucket, and
+// the trailing partial window [4s, 4.5s) has no bucket. With no tuple
+// timeout every sink arrival is delivered, so each bucket equals the
+// samples' LatencyN (sink) and Processed (bolt) summed over its window.
+func TestSeriesMatchObserverWindows(t *testing.T) {
+	c := emulabCluster(t)
+	ids := c.NodeIDs()
+	topo, _ := twoNodeChain(t, 2*time.Millisecond, 8)
+	a := core.NewAssignment("pair", "manual")
+	a.Place(0, core.Placement{Node: ids[0], Slot: 0})
+	a.Place(1, core.Placement{Node: ids[1], Slot: 0})
+	sim, err := New(c, Config{Duration: 4500 * time.Millisecond, MetricsWindow: time.Second})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	obs := &collector{}
+	if err := sim.SetObserver(obs); err != nil {
+		t.Fatalf("SetObserver: %v", err)
+	}
+	if err := sim.AddTopology(topo, a); err != nil {
+		t.Fatalf("AddTopology: %v", err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := sim.RunTo(1500 * time.Millisecond); err != nil {
+		t.Fatalf("RunTo: %v", err)
+	}
+	next := core.NewAssignment("pair", "manual")
+	next.Place(0, core.Placement{Node: ids[0], Slot: 0})
+	next.Place(1, core.Placement{Node: ids[2], Slot: 0})
+	if _, err := sim.Reassign("pair", next); err != nil {
+		t.Fatalf("Reassign: %v", err)
+	}
+	res, err := sim.Finish()
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if len(obs.windows) != 6 {
+		t.Fatalf("%d flushes, want 6 (a split window and a trailing partial one)", len(obs.windows))
+	}
+	sink := make([]float64, 5)
+	processed := make([]float64, 5)
+	for _, w := range obs.windows {
+		for _, s := range w {
+			i := int(s.WindowStart / time.Second)
+			sink[i] += float64(s.LatencyN)
+			processed[i] += float64(s.Processed)
+		}
+	}
+	tr := res.Topology("pair")
+	if len(tr.SinkSeries) != 4 {
+		t.Fatalf("SinkSeries has %d windows, want 4 full ones", len(tr.SinkSeries))
+	}
+	for i := 0; i < 4; i++ {
+		if tr.SinkSeries[i] != sink[i] || tr.ComponentSeries["d"][i] != processed[i] {
+			t.Errorf("window %d: series read %v sunk, %v processed; samples %v and %v",
+				i, tr.SinkSeries[i], tr.ComponentSeries["d"][i], sink[i], processed[i])
+		}
+		if sink[i] == 0 {
+			t.Errorf("window %d: nothing reached the sink", i)
+		}
+	}
+	if sink[4] == 0 {
+		t.Error("the trailing partial window carried no arrivals; its exclusion is untested")
+	}
+	if _, ok := tr.ComponentSeries["s"]; ok {
+		t.Error("the spout, which executes no tuples, has a component series")
+	}
+}

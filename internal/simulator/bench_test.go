@@ -67,9 +67,6 @@ func benchSim(b testing.TB, topo *topology.Topology, cfg Config) (*Simulation, t
 
 // steadyStateConfig and overloadConfig are the workloads of the tuple-path
 // benchmarks, shared with TestTuplePathAllocs.
-// The overload workload's spouts may hold 1024 trees each, far more than
-// the 128-tuple bolt queues take, so the queues stay full and producers
-// park on them.
 func steadyStateConfig(tb testing.TB) (*topology.Topology, Config) {
 	return benchChainTopo(tb, 2, 200*time.Microsecond, 100*time.Microsecond, 0), Config{
 		Duration:      24 * time.Hour,
@@ -77,6 +74,9 @@ func steadyStateConfig(tb testing.TB) (*topology.Topology, Config) {
 	}
 }
 
+// The overload workload's spouts may hold 1024 trees each, far more than
+// the 128-tuple bolt queues take, so the queues stay full and producers
+// park on them.
 func overloadConfig(tb testing.TB) (*topology.Topology, Config) {
 	return benchChainTopo(tb, 2, 50*time.Microsecond, 400*time.Microsecond, 1024), Config{
 		Duration:      24 * time.Hour,

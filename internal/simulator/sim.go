@@ -239,7 +239,7 @@ type Simulation struct {
 	coord     *pardes.Coordinator
 	lookahead time.Duration
 	clock     time.Duration
-	nextFlush time.Duration // next flush barrier; 0 = flushes disabled
+	nextFlush time.Duration // next flush barrier; 0 once past the last one
 
 	// Metrics tap (observer.go). lastFlush is the virtual time of the most
 	// recent window flush, bounding the partial tail window Finish (and

@@ -236,9 +236,6 @@ func run(w io.Writer, args []string) error {
 		// -memory the loop additionally measures resident memory and keeps
 		// rescheduled tasks under a memory-fill headroom.
 		loopCfg := adaptive.LoopConfig{Interval: *ctrlIvl, Journal: journal}
-		if *memoryOn {
-			loopCfg.Controller.MemHeadroom = 0.8
-		}
 		// With -traffic the imbalance (consolidation) trigger plans against
 		// the measured edge-rate matrix instead of ref-node distance.
 		loopCfg.Controller.TrafficObjective = *trafficOn
@@ -255,7 +252,7 @@ func run(w io.Writer, args []string) error {
 		rebalances = lr.Events
 		a = lr.Assignments[topo.Name()]
 	} else {
-		prof = adaptive.NewProfiler(adaptive.ProfilerConfig{MetricsWindow: *window})
+		prof = adaptive.NewProfiler(adaptive.ProfilerConfig{})
 		if err := sim.SetObserver(prof); err != nil {
 			return err
 		}

@@ -19,33 +19,38 @@ const (
 	TriggerFailover  = "failover"  // tasks lost to a node crash need restarting
 )
 
-// ControllerConfig tunes hotspot detection and the rebalance policy.
+// The controller's policy. Every caller ran these values, so they are
+// constants rather than settings.
+const (
+	// highUtil marks a contended component hot when its EWMA max-task
+	// utilization reaches it; queueHigh does the same for its EWMA queue
+	// fill (overflow pressure shows up there before utilization does for
+	// bursty stages).
+	highUtil  = 0.9
+	queueHigh = 0.7
+	// lowUtil marks a topology imbalanced (over-provisioned) when every
+	// component's EWMA utilization is at or below it.
+	lowUtil = 0.2
+	// hysteresis is the number of consecutive full windows a condition
+	// must hold before the controller acts — the anti-flap guard, and the
+	// warm-up too: a streak counts full windows only.
+	hysteresis = 2
+	// cooldown is the number of full windows after a rebalance during
+	// which the controller stays quiet, letting estimates re-converge on
+	// the new placement before judging it.
+	cooldown = 3
+	// margin is the stickiness handed to the incremental reschedule.
+	margin = 0.15
+	// memHeadroom is the incremental reschedule's memory-fill headroom
+	// (IncrementalOptions.MemHeadroom), applied once the profiler has seen
+	// measured memory: candidates that keep fill under it outrank tight
+	// fits, so still-growing state is not placed one window short of an
+	// OOM kill. Declared-memory replans keep the plain ordering.
+	memHeadroom = 0.8
+)
+
+// ControllerConfig sets the two triggers that differ between scenarios.
 type ControllerConfig struct {
-	// HighUtil marks a component hot when its EWMA utilization reaches
-	// this fraction. Default 0.9.
-	HighUtil float64
-	// QueueHigh marks a component hot when its EWMA queue fill reaches
-	// this fraction (overflow pressure shows up here before utilization
-	// does for bursty stages). Default 0.7.
-	QueueHigh float64
-	// LowUtil marks a topology imbalanced (over-provisioned) when every
-	// component's EWMA utilization is at or below it. Default 0.2.
-	LowUtil float64
-	// Hysteresis is the number of consecutive windows a condition must
-	// hold before the controller acts — the anti-flap guard. Default 2.
-	Hysteresis int
-	// Cooldown is the number of windows after a rebalance during which
-	// the controller stays quiet, letting estimates re-converge on the
-	// new placement before judging it. Default 3.
-	Cooldown int
-	// MinWindows is the number of windows the profiler must have seen
-	// before any decision (warm-up). Default 2.
-	MinWindows int
-	// MaxMoves caps migrations per rebalance (0 = no cap).
-	MaxMoves int
-	// Margin is the stickiness passed to the incremental reschedule.
-	// Default 0.15.
-	Margin float64
 	// MemHigh marks a topology memory-hot when any node hosting its live
 	// tasks has resident memory at or above this fraction of capacity —
 	// the early-warning threshold that gets tasks off a filling node
@@ -53,11 +58,6 @@ type ControllerConfig struct {
 	// runtime memory model (samples read zero fill without it, so the
 	// trigger is inert on memory-blind runs). Default 0.85.
 	MemHigh float64
-	// MemHeadroom is passed to the incremental reschedule
-	// (IncrementalOptions.MemHeadroom): candidates that keep memory fill
-	// under this fraction outrank tight fits. Zero disables the tier —
-	// the default, so declared-memory replans are unchanged.
-	MemHeadroom float64
 	// TrafficObjective, when set, hands the profiler's measured
 	// component-pair traffic matrix to imbalance-triggered (consolidation)
 	// rebalances: the incremental pass then minimizes measured network
@@ -71,27 +71,6 @@ type ControllerConfig struct {
 }
 
 func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.HighUtil <= 0 {
-		c.HighUtil = 0.9
-	}
-	if c.QueueHigh <= 0 {
-		c.QueueHigh = 0.7
-	}
-	if c.LowUtil <= 0 {
-		c.LowUtil = 0.2
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 2
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 3
-	}
-	if c.MinWindows <= 0 {
-		c.MinWindows = 2
-	}
-	if c.Margin <= 0 {
-		c.Margin = 0.15
-	}
 	if c.MemHigh <= 0 {
 		c.MemHigh = 0.85
 	}
@@ -213,10 +192,10 @@ func (c *Controller) OnWindow(samples []simulator.TaskSample) {
 		// migration cannot speed it up. Placement is at fault — and
 		// fixable — only when the host is overcommitted.
 		contended := st.MaxSlowdown > 1.001
-		if contended && (st.MaxUtilization >= c.cfg.HighUtil || st.QueueFill >= c.cfg.QueueHigh) {
+		if contended && (st.MaxUtilization >= highUtil || st.QueueFill >= queueHigh) {
 			ts.winHot = true
 		}
-		if st.MaxUtilization > c.cfg.LowUtil {
+		if st.MaxUtilization > lowUtil {
 			ts.winAllCold = false
 		}
 	})
@@ -297,7 +276,7 @@ func (c *Controller) ShouldRebalance(name string) (string, bool) {
 	if ts == nil {
 		return "", false
 	}
-	// Failover outranks everything and bypasses the quiet/warm-up gates:
+	// Failover outranks everything and bypasses hysteresis and cooldown:
 	// crashed tasks process nothing until restarted, so every window spent
 	// debouncing or cooling down is pure lost throughput — and the trigger
 	// disarms itself once the restarts land (live samples clear the crash
@@ -305,68 +284,61 @@ func (c *Controller) ShouldRebalance(name string) (string, bool) {
 	if ts.failStreak >= 1 {
 		return TriggerFailover, true
 	}
-	if ts.quiet || c.profiler.Windows() < c.cfg.MinWindows {
+	if ts.quiet {
 		return "", false
 	}
 	// Memory outranks the CPU hotspot: the hard axis ends in OOM kills,
 	// not slowdown, so a filling node is always the most urgent repair.
-	if ts.memStreak >= c.cfg.Hysteresis {
+	if ts.memStreak >= hysteresis {
 		return TriggerMemory, true
 	}
-	if ts.hotStreak >= c.cfg.Hysteresis {
+	if ts.hotStreak >= hysteresis {
 		return TriggerHotspot, true
 	}
-	if ts.coldStreak >= c.cfg.Hysteresis {
+	if ts.coldStreak >= hysteresis {
 		return TriggerImbalance, true
 	}
 	return "", false
 }
 
-// PlanWithCap computes the incremental rebalance for a topology from the
+// Plan computes the incremental rebalance for a topology from the
 // profiler's measured demands. available is the per-node availability
 // *excluding* this topology's own usage (dead nodes zeroed, co-resident
 // topologies' load subtracted — see Loop.availabilityFor); nil means the
 // topology has the whole cluster to itself. trigger is the
 // ShouldRebalance verdict being acted on: an imbalance trigger under
-// TrafficObjective plans against the measured traffic matrix. moveCap is
-// the cluster arbiter's per-topology share of the global move budget: a
-// positive cap bounds this plan's moves on top of (never loosening) the
-// configured MaxMoves; zero applies MaxMoves alone. PlanWithCap does not
-// mutate controller state; call NotifyRebalanced once the plan has been
-// applied (or discarded) so the cooldown starts.
-func (c *Controller) PlanWithCap(
+// TrafficObjective plans against the measured traffic matrix. Plan does
+// not mutate controller state; call NotifyRebalanced once the plan has
+// been applied (or discarded) so the cooldown starts.
+func (c *Controller) Plan(
 	topo *topology.Topology,
 	clu *cluster.Cluster,
 	current *core.Assignment,
 	available map[cluster.NodeID]resource.Vector,
 	trigger string,
-	moveCap int,
 ) (*core.Assignment, []core.Move, error) {
 	if current == nil {
 		return nil, nil, fmt.Errorf("topology %q has no current assignment", topo.Name())
 	}
-	maxMoves := c.cfg.MaxMoves
-	if moveCap > 0 && (maxMoves <= 0 || moveCap < maxMoves) {
-		maxMoves = moveCap
-	}
 	opts := core.IncrementalOptions{
-		Demands:     c.profiler.MeasuredDemands(topo),
-		Available:   available,
-		MaxMoves:    maxMoves,
-		Margin:      c.cfg.Margin,
-		MemHeadroom: c.cfg.MemHeadroom,
+		Demands:   c.profiler.MeasuredDemands(topo),
+		Available: available,
+		Margin:    margin,
 		// Tasks killed by node failures or the OOM killer are dead:
 		// pinned in place (nothing is left to migrate) and no longer
 		// consuming their node's resources.
 		Dead: c.profiler.DeadTasks(topo.Name()),
 	}
+	if c.profiler.measuresMemory() {
+		opts.MemHeadroom = memHeadroom
+	}
 	if c.cfg.TrafficObjective && trigger == TriggerImbalance {
 		opts.Traffic = c.profiler.TrafficMatrix(topo.Name())
 	}
 	// A failover plan splits the dead set: crash victims become forced
-	// restarts (re-placed on live capacity, exempt from the move budget),
-	// while OOM-killed tasks — whose death was a resource verdict, not an
-	// infrastructure loss — stay pinned dead as on every other trigger.
+	// restarts (re-placed on the best live capacity), while OOM-killed
+	// tasks — whose death was a resource verdict, not an infrastructure
+	// loss — stay pinned dead as on every other trigger.
 	if trigger == TriggerFailover {
 		if crashed := c.profiler.CrashedTasks(topo.Name()); len(crashed) > 0 {
 			opts.Restart = crashed
@@ -393,7 +365,7 @@ func (c *Controller) NotifyRebalanced(name string, moves int, trigger string) {
 		c.topos[name] = ts
 		c.order = append(c.order, name)
 	}
-	ts.cooldown = c.cfg.Cooldown
+	ts.cooldown = cooldown
 	ts.quiet = true
 	ts.hotStreak = 0
 	ts.coldStreak = 0
@@ -446,12 +418,12 @@ func (c *Controller) Status() ControllerStatus {
 	defer c.mu.Unlock()
 	out := ControllerStatus{
 		Windows:    c.profiler.Windows(),
-		HighUtil:   c.cfg.HighUtil,
-		LowUtil:    c.cfg.LowUtil,
-		QueueHigh:  c.cfg.QueueHigh,
+		HighUtil:   highUtil,
+		LowUtil:    lowUtil,
+		QueueHigh:  queueHigh,
 		MemHigh:    c.cfg.MemHigh,
-		Hysteresis: c.cfg.Hysteresis,
-		Cooldown:   c.cfg.Cooldown,
+		Hysteresis: hysteresis,
+		Cooldown:   cooldown,
 	}
 	for _, name := range c.order {
 		ts := c.topos[name]

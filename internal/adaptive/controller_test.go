@@ -22,11 +22,7 @@ func coldWindow() []simulator.TaskSample {
 }
 
 func newTestController() *Controller {
-	return NewController(NewProfiler(ProfilerConfig{Alpha: 1}), nil, ControllerConfig{
-		Hysteresis: 2,
-		Cooldown:   3,
-		MinWindows: 2,
-	})
+	return NewController(nil, nil, ControllerConfig{})
 }
 
 func TestHotspotRequiresHysteresis(t *testing.T) {
@@ -76,19 +72,6 @@ func TestImbalanceDetection(t *testing.T) {
 	}
 }
 
-func TestMinWindowsWarmup(t *testing.T) {
-	c := NewController(nil, nil, ControllerConfig{Hysteresis: 1, MinWindows: 3})
-	c.OnWindow(hotWindow())
-	if _, ok := c.ShouldRebalance("t"); ok {
-		t.Error("rebalance before MinWindows of profiling")
-	}
-	c.OnWindow(hotWindow())
-	c.OnWindow(hotWindow())
-	if _, ok := c.ShouldRebalance("t"); !ok {
-		t.Error("no rebalance after warmup")
-	}
-}
-
 func TestStatusSnapshot(t *testing.T) {
 	c := newTestController()
 	c.OnWindow(hotWindow())
@@ -117,9 +100,7 @@ func TestStatusSnapshot(t *testing.T) {
 // MemHigh must build a memory streak for every topology hosted there and
 // fire the memory trigger after the hysteresis, with no contention gate.
 func TestMemoryTriggerFiresOnFillingNode(t *testing.T) {
-	ctrl := NewController(nil, nil, ControllerConfig{
-		Hysteresis: 2, MinWindows: 1, MemHigh: 0.8,
-	})
+	ctrl := NewController(nil, nil, ControllerConfig{MemHigh: 0.8})
 	hot := func(residentMB float64) []simulator.TaskSample {
 		s1 := sample("t", "cache", 0, "n0", 0.2, 1)
 		s1.ResidentMemMB, s1.NodeMemCapacityMB = residentMB, 2048
@@ -155,7 +136,7 @@ func TestMemoryTriggerFiresOnFillingNode(t *testing.T) {
 // TestMemoryTriggerInertWithoutModel: memory-blind samples (zero capacity)
 // must never produce a memory streak, whatever the fill thresholds.
 func TestMemoryTriggerInertWithoutModel(t *testing.T) {
-	ctrl := NewController(nil, nil, ControllerConfig{Hysteresis: 1, MinWindows: 1, MemHigh: 0.01})
+	ctrl := NewController(nil, nil, ControllerConfig{MemHigh: 0.01})
 	for i := 0; i < 3; i++ {
 		ctrl.OnWindow([]simulator.TaskSample{sample("t", "cache", 0, "n0", 0.3, 1)})
 	}
@@ -168,9 +149,7 @@ func TestMemoryTriggerInertWithoutModel(t *testing.T) {
 // flush folds into the profiler but must not count toward hysteresis or
 // consume cooldown — a 250ms slice is not a window of evidence.
 func TestPartialWindowsDoNotAdvanceDecisionClocks(t *testing.T) {
-	ctrl := NewController(nil, nil, ControllerConfig{
-		Hysteresis: 2, MinWindows: 1, MemHigh: 0.5,
-	})
+	ctrl := NewController(nil, nil, ControllerConfig{MemHigh: 0.5})
 	full := func() []simulator.TaskSample {
 		s := sample("t", "cache", 0, "n0", 0.2, 1)
 		s.ResidentMemMB, s.NodeMemCapacityMB = 1500, 2048

@@ -53,7 +53,7 @@ func spreadAssignment(topo *topology.Topology, ids []cluster.NodeID) *core.Assig
 // stays in the restart set while its node bounces back (the executor is
 // still gone), and leaves it only when the task itself is sampled live.
 func TestProfilerCrashMarksPersistThroughNodeRecovery(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1})
+	p := NewProfiler(ProfilerConfig{})
 	p.OnWindow([]simulator.TaskSample{crashSample("t", "work", 3, "n0")})
 	if !p.CrashedTasks("t")[3] {
 		t.Fatal("crash-killed task not recorded")
@@ -78,7 +78,7 @@ func TestProfilerCrashMarksPersistThroughNodeRecovery(t *testing.T) {
 // TestOOMDeathIsNotACrash: a task killed on a healthy node (the OOM
 // killer's verdict) must not enter the failover restart set.
 func TestOOMDeathIsNotACrash(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1})
+	p := NewProfiler(ProfilerConfig{})
 	oom := sample("t", "work", 2, "n0", 0, 1)
 	oom.Dead = true // NodeDead stays false
 	p.OnWindow([]simulator.TaskSample{oom})
@@ -91,10 +91,10 @@ func TestOOMDeathIsNotACrash(t *testing.T) {
 }
 
 // TestFailoverTriggerBypassesGates: failover fires on the first window of
-// evidence (no hysteresis, before MinWindows warm-up) and straight through
-// an active cooldown — and outranks a simultaneous hotspot.
+// evidence (no hysteresis) and straight through an active cooldown — and
+// outranks a simultaneous hotspot.
 func TestFailoverTriggerBypassesGates(t *testing.T) {
-	c := newTestController() // Hysteresis 2, Cooldown 3, MinWindows 2
+	c := newTestController()
 	win := []simulator.TaskSample{
 		crashSample("t", "work", 0, "n0"),
 		sample("t", "s", 1, "n1", 0.5, 1),

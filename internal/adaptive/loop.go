@@ -19,15 +19,6 @@ type LoopConfig struct {
 	// controller evaluations. Zero defaults to the simulator's metrics
 	// window (every flushed window is a decision point).
 	Interval time.Duration
-	// MoveBudget is the cluster-wide migration budget per epoch — the
-	// arbiter's disruption cap across every managed topology, arbitrated
-	// priority-weighted: triggered topologies are served in descending
-	// priority, each granted a share proportional to priority+1 (unused
-	// share flows down to the next). Zero disables the global budget:
-	// each topology is bounded only by Controller.MaxMoves, and with all
-	// priorities equal the loop behaves exactly as the per-topology loops
-	// it replaced.
-	MoveBudget int
 	// FlapDamping embargoes a recovered node for this many control epochs
 	// after it transitions dead→live: its availability keeps reading zero,
 	// so neither failover restarts nor improvement moves land on hardware
@@ -82,10 +73,9 @@ func (r *LoopResult) TotalMoves() int {
 // freshly profiled window, and applies incremental rebalances between
 // epochs. Across topologies it is the cluster arbiter (DESIGN.md §6):
 // instead of independent per-topology control loops racing for the same
-// nodes, one epoch evaluation collects every triggered topology, serves
-// them in descending tenant priority, and — when MoveBudget is set —
-// splits a global migration budget priority-weighted among them. The
-// whole loop is deterministic for a fixed simulator seed.
+// nodes, one epoch evaluation collects every triggered topology and serves
+// them in descending tenant priority. The whole loop is deterministic for
+// a fixed simulator seed.
 type Loop struct {
 	sim     *simulator.Simulation
 	cluster *cluster.Cluster
@@ -111,12 +101,6 @@ func NewLoop(
 	if cfg.Interval <= 0 {
 		cfg.Interval = sim.Config().MetricsWindow
 	}
-	if cfg.Profiler.MetricsWindow <= 0 {
-		// Thread the simulator's configured window into the profiler so
-		// flush classification never has to infer it (the LastFlushFull
-		// fix: a sub-window first flush must not count as evidence).
-		cfg.Profiler.MetricsWindow = sim.Config().MetricsWindow
-	}
 	ctrl := NewController(NewProfiler(cfg.Profiler), sched, cfg.Controller)
 	return &Loop{
 		sim:      sim,
@@ -134,17 +118,10 @@ func NewLoop(
 func (l *Loop) Controller() *Controller { return l.ctrl }
 
 // Manage registers a topology the loop may rebalance, at the priority the
-// topology itself declares. The topology must already be added to the
+// topology itself declares: the arbiter serves triggered topologies in
+// descending priority. The topology must already be added to the
 // simulation with the same assignment.
 func (l *Loop) Manage(topo *topology.Topology, a *core.Assignment) error {
-	return l.ManageWithPriority(topo, a, topo.Priority())
-}
-
-// ManageWithPriority registers a topology at an explicit tenant priority,
-// overriding the topology's own declaration. The arbiter serves triggered
-// topologies in descending priority and weights the global move budget by
-// priority+1.
-func (l *Loop) ManageWithPriority(topo *topology.Topology, a *core.Assignment, priority int) error {
 	name := topo.Name()
 	if _, dup := l.topos[name]; dup {
 		return fmt.Errorf("topology %q already managed", name)
@@ -152,14 +129,11 @@ func (l *Loop) ManageWithPriority(topo *topology.Topology, a *core.Assignment, p
 	if a == nil || !a.Complete(topo) {
 		return fmt.Errorf("topology %q needs a complete assignment", name)
 	}
-	if priority < 0 {
-		return fmt.Errorf("topology %q: priority %d is negative", name, priority)
-	}
 	l.names = append(l.names, name)
 	l.topos[name] = topo
 	l.current[name] = a
-	l.priority[name] = priority
-	l.ctrl.SetPriority(name, priority)
+	l.priority[name] = topo.Priority()
+	l.ctrl.SetPriority(name, topo.Priority())
 	return nil
 }
 
@@ -195,12 +169,8 @@ func (l *Loop) Run() (*LoopResult, error) {
 
 // arbitrate is one cluster-level control decision: collect every
 // triggered topology, order by descending tenant priority (managed order
-// within a priority), and apply their rebalances under the global move
-// budget. With MoveBudget set, each triggered topology's share is
-// proportional to priority+1 over the triggered set, granted in priority
-// order with any unused share flowing down — so a high-priority tenant's
-// repair is never starved by a low-priority tenant's churn, and total
-// per-epoch disruption is bounded cluster-wide.
+// within a priority), and apply their rebalances in that order — each
+// plans against the placements the ones before it left.
 func (l *Loop) arbitrate(t time.Duration) ([]RebalanceEvent, error) {
 	// One guard tick per epoch, before any planning: dead→live
 	// transitions observed here open this epoch's embargo window.
@@ -211,14 +181,12 @@ func (l *Loop) arbitrate(t time.Duration) ([]RebalanceEvent, error) {
 		priority int
 	}
 	var claims []claim
-	weight := 0
 	for _, name := range l.names {
 		trigger, ok := l.ctrl.ShouldRebalance(name)
 		if !ok {
 			continue
 		}
 		claims = append(claims, claim{name: name, trigger: trigger, priority: l.priority[name]})
-		weight += l.priority[name] + 1
 		l.journalRecord(t, trace.CodeTriggerFired, name, trigger)
 	}
 	if len(claims) == 0 {
@@ -228,36 +196,16 @@ func (l *Loop) arbitrate(t time.Duration) ([]RebalanceEvent, error) {
 		return claims[i].priority > claims[j].priority
 	})
 
-	remaining := l.cfg.MoveBudget
 	var events []RebalanceEvent
 	for _, cl := range claims {
-		moveCap := 0
-		if l.cfg.MoveBudget > 0 {
-			if remaining <= 0 {
-				// Budget exhausted: the trigger stays armed (streaks are
-				// not reset), so the starved topology contends again next
-				// epoch instead of silently burning a cooldown.
-				continue
-			}
-			// Priority-weighted share of the epoch budget, at least one
-			// move, never more than what is left.
-			share := (l.cfg.MoveBudget*(cl.priority+1) + weight - 1) / weight
-			if share < 1 {
-				share = 1
-			}
-			if share > remaining {
-				share = remaining
-			}
-			moveCap = share
-		}
 		topo := l.topos[cl.name]
-		next, moves, err := l.ctrl.PlanWithCap(topo, l.cluster, l.current[cl.name],
-			l.availabilityFor(cl.name), cl.trigger, moveCap)
+		next, moves, err := l.ctrl.Plan(topo, l.cluster, l.current[cl.name],
+			l.availabilityFor(cl.name), cl.trigger)
 		if err != nil {
 			return nil, fmt.Errorf("planning rebalance of %q: %w", cl.name, err)
 		}
 		l.journalRecord(t, trace.CodePlanComputed, cl.name,
-			fmt.Sprintf("trigger=%s planned=%d cap=%d", cl.trigger, len(moves), moveCap))
+			fmt.Sprintf("trigger=%s planned=%d cap=0", cl.trigger, len(moves)))
 		migrated := 0
 		if len(moves) > 0 {
 			// ReassignRestarting reports how many tasks actually moved
@@ -293,12 +241,6 @@ func (l *Loop) arbitrate(t time.Duration) ([]RebalanceEvent, error) {
 				l.journalRecord(t, trace.CodeRebalanceApplied, cl.name,
 					fmt.Sprintf("trigger=%s moves=%d", cl.trigger, migrated))
 			}
-		}
-		if l.cfg.MoveBudget > 0 {
-			// The budget bounds real disruption: debit what actually
-			// migrated (ReassignRestarting may normalize away planned
-			// relocations of tasks that turn out dead, which cost nothing).
-			remaining -= migrated
 		}
 		// Cooldown starts either way: a plan with no moves means the
 		// current placement is the best the measured demands allow,

@@ -11,7 +11,8 @@ import (
 	"rstorm/internal/topology"
 )
 
-// sampleSpan builds a TaskSample over an explicit window span.
+// sampleSpan builds a TaskSample over an explicit span of a run whose
+// metrics window is 1s.
 func sampleSpan(topo, comp string, id int, node cluster.NodeID, start, end time.Duration, busyFrac, slowdown float64) simulator.TaskSample {
 	return simulator.TaskSample{
 		Topology:        topo,
@@ -20,6 +21,7 @@ func sampleSpan(topo, comp string, id int, node cluster.NodeID, start, end time.
 		Node:            node,
 		WindowStart:     start,
 		WindowEnd:       end,
+		FullWindow:      time.Second,
 		Busy:            time.Duration(busyFrac * float64(end-start)),
 		Slowdown:        slowdown,
 		NodeCPUCapacity: 100,
@@ -27,14 +29,13 @@ func sampleSpan(topo, comp string, id int, node cluster.NodeID, start, end time.
 	}
 }
 
-// TestConfiguredWindowClassifiesSubWindowFirstFlushPartial is the
-// regression test for the LastFlushFull bug (ROADMAP open item): with the
-// configured MetricsWindow threaded in, an external driver's sub-window
-// first flush must NOT count as a full window of evidence — before the
-// fix it was the "largest span seen", so it did, and the next boundary's
-// remainder did too.
+// TestConfiguredWindowClassifiesSubWindowFirstFlushPartial: a profiler
+// classifies each flush against the configured window its samples carry
+// (TaskSample.FullWindow), so an external driver's sub-window first flush
+// does NOT count as a full window of evidence. Inferring the window from
+// the largest span seen counted it, and the next boundary's remainder too.
 func TestConfiguredWindowClassifiesSubWindowFirstFlushPartial(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1, MetricsWindow: time.Second})
+	p := NewProfiler(ProfilerConfig{})
 	// External driver Reassigns 250ms into the first window.
 	p.OnWindow([]simulator.TaskSample{sampleSpan("t", "c", 0, "n0", 0, 250*time.Millisecond, 1, 1)})
 	if p.LastFlushFull() {
@@ -59,24 +60,14 @@ func TestConfiguredWindowClassifiesSubWindowFirstFlushPartial(t *testing.T) {
 	if p.Windows() != 1 {
 		t.Errorf("Windows = %d, want 1", p.Windows())
 	}
-}
-
-// TestInferredWindowLegacyBehaviour pins the fallback: without a
-// configured window the largest-span inference still applies (standalone
-// profilers keep working), including its known first-flush optimism.
-func TestInferredWindowLegacyBehaviour(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1})
-	p.OnWindow([]simulator.TaskSample{sampleSpan("t", "c", 0, "n0", 0, 250*time.Millisecond, 1, 1)})
-	if !p.LastFlushFull() {
-		t.Error("inference mode: first flush is by definition the largest span")
-	}
-	p.OnWindow([]simulator.TaskSample{sampleSpan("t", "c", 0, "n0", 250*time.Millisecond, 1250*time.Millisecond, 1, 1)})
-	if !p.LastFlushFull() {
-		t.Error("full window classified as partial")
-	}
-	p.OnWindow([]simulator.TaskSample{sampleSpan("t", "c", 0, "n0", 1250*time.Millisecond, 1500*time.Millisecond, 1, 1)})
-	if p.LastFlushFull() {
-		t.Error("later partial classified as full")
+	// The same 250ms span is a full window in a run configured with 250ms
+	// windows: the reference comes from the samples, not from the profiler.
+	short := sampleSpan("t", "c", 0, "n0", 2*time.Second, 2250*time.Millisecond, 1, 1)
+	short.FullWindow = 250 * time.Millisecond
+	p.OnWindow([]simulator.TaskSample{short})
+	if !p.LastFlushFull() || p.Windows() != 2 {
+		t.Errorf("250ms span of a 250ms-window run: full = %v, Windows = %d; want true, 2",
+			p.LastFlushFull(), p.Windows())
 	}
 }
 
@@ -85,7 +76,7 @@ func TestInferredWindowLegacyBehaviour(t *testing.T) {
 // tasks by busy share — per-tenant demand comes out exact, not inflated
 // as if each tenant owned the node.
 func TestAttributionSplitsAcrossCoLocatedTopologies(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1, MetricsWindow: time.Second})
+	p := NewProfiler(ProfilerConfig{})
 	// Node n0: capacity 100, true demand 160 (f = 1.6): tenant A's task
 	// and tenant B's task are both saturated (busy the whole stretched
 	// window), so busy shares are equal and each recovers 80 points.
@@ -107,7 +98,7 @@ func TestAttributionSplitsAcrossCoLocatedTopologies(t *testing.T) {
 // TestAttributionSplitUnevenBusyShares: co-located tenants with different
 // busy times split the node's true demand proportionally.
 func TestAttributionSplitUnevenBusyShares(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1, MetricsWindow: time.Second})
+	p := NewProfiler(ProfilerConfig{})
 	// f = 1.5, C = 100 → node true demand 150. Busy 1.0 vs 0.5 → shares
 	// 2/3 and 1/3 → 100 and 50 points.
 	p.OnWindow([]simulator.TaskSample{
@@ -126,7 +117,7 @@ func TestAttributionSplitUnevenBusyShares(t *testing.T) {
 // eviction) that samples live again — an evicted tenant revived by the
 // control plane — must stop being pinned by the replanner.
 func TestLiveSampleClearsDeadMark(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1, MetricsWindow: time.Second})
+	p := NewProfiler(ProfilerConfig{})
 	dead := sampleSpan("t", "c", 3, "n0", 0, time.Second, 0, 1)
 	dead.Dead = true
 	p.OnWindow([]simulator.TaskSample{dead})
@@ -143,7 +134,7 @@ func TestLiveSampleClearsDeadMark(t *testing.T) {
 // topologies are hot (shared overcommitted nodes) and the loop must
 // arbitrate: two chains stacked on the same two nodes, each truly needing
 // 80 points per stage but declaring 10, with free nodes to escape to.
-func arbiterHarness(t *testing.T, budget int, prioA, prioB int) (*LoopResult, error) {
+func arbiterHarness(t *testing.T, prioA, prioB int) (*LoopResult, error) {
 	t.Helper()
 	c, err := cluster.Emulab12()
 	if err != nil {
@@ -187,7 +178,7 @@ func arbiterHarness(t *testing.T, budget int, prioA, prioB int) (*LoopResult, er
 	if err := sim.AddTopology(tb, ab); err != nil {
 		t.Fatal(err)
 	}
-	loop := NewLoop(sim, c, core.NewResourceAwareScheduler(), LoopConfig{MoveBudget: budget})
+	loop := NewLoop(sim, c, core.NewResourceAwareScheduler(), LoopConfig{})
 	if err := loop.Manage(ta, aa); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +193,7 @@ func arbiterHarness(t *testing.T, budget int, prioA, prioB int) (*LoopResult, er
 // it escapes to the emptiest nodes while the low-priority tenant plans
 // against what is left.
 func TestArbiterServesHigherPriorityFirst(t *testing.T) {
-	lr, err := arbiterHarness(t, 0, 1, 7)
+	lr, err := arbiterHarness(t, 1, 7)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -242,46 +233,15 @@ func TestArbiterServesHigherPriorityFirst(t *testing.T) {
 	}
 }
 
-// TestArbiterMoveBudgetCapsEpochDisruption: a global budget bounds the
-// total migrations applied in any single epoch.
-func TestArbiterMoveBudgetCapsEpochDisruption(t *testing.T) {
-	lr, err := arbiterHarness(t, 2, 0, 5)
+// TestArbiterEqualPrioritiesKeepManagedOrder: with priorities unset, the
+// arbiter must behave exactly like the old per-topology loop — same
+// events in the same order, managed order breaking ties.
+func TestArbiterEqualPrioritiesKeepManagedOrder(t *testing.T) {
+	first, err := arbiterHarness(t, 0, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(lr.Events) == 0 {
-		t.Fatal("no rebalances at all under budget")
-	}
-	perEpoch := make(map[time.Duration]int)
-	for _, e := range lr.Events {
-		perEpoch[e.At] += e.Moves
-	}
-	for at, moves := range perEpoch {
-		if moves > 2 {
-			t.Errorf("epoch %v applied %d moves, budget 2", at, moves)
-		}
-	}
-	// The high-priority tenant still converges: it keeps winning budget.
-	var bMoves int
-	for _, e := range lr.Events {
-		if e.Topology == "tenant-b" {
-			bMoves += e.Moves
-		}
-	}
-	if bMoves == 0 {
-		t.Error("high-priority tenant got no budget")
-	}
-}
-
-// TestArbiterUnsetBudgetEqualPrioritiesMatchesLegacy: with priorities
-// unset and no budget, the arbiter must behave exactly like the old
-// per-topology loop — same events in the same order.
-func TestArbiterUnsetBudgetEqualPrioritiesMatchesLegacy(t *testing.T) {
-	first, err := arbiterHarness(t, 0, 0, 0)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	second, err := arbiterHarness(t, 0, 0, 0)
+	second, err := arbiterHarness(t, 0, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

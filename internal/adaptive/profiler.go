@@ -21,11 +21,11 @@ import (
 	"rstorm/internal/topology"
 )
 
+// alpha is the EWMA smoothing factor applied to each new window.
+const alpha = 0.5
+
 // ProfilerConfig tunes demand estimation.
 type ProfilerConfig struct {
-	// Alpha is the EWMA smoothing factor applied to each new window
-	// (1 = latest window only). Default 0.5.
-	Alpha float64
 	// MemLookaheadWindows projects the measured memory demand forward by
 	// this many (full metrics) windows of EWMA growth: a task whose state
 	// is still growing at plan time must be placed for where it is
@@ -39,27 +39,11 @@ type ProfilerConfig struct {
 	// very declarations it just caught lying. Without the model, samples
 	// are memory-blind and declarations stay authoritative.
 	MemLookaheadWindows int
-	// MetricsWindow is the simulator's configured metrics window. When
-	// set, flush classification (full window of evidence vs partial
-	// slice) and growth-slope scaling measure against it directly. When
-	// zero the profiler falls back to inferring the window from the
-	// largest span seen so far — which misclassifies the first flush of
-	// an external driver that Reassigns mid-window as full, letting
-	// hysteresis/cooldown clocks advance on partial evidence. Loop and
-	// rstorm-sim thread the configured window; standalone constructions
-	// should too.
-	MetricsWindow time.Duration
 }
 
 func (c ProfilerConfig) withDefaults() ProfilerConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.5
-	}
 	if c.MemLookaheadWindows <= 0 {
 		c.MemLookaheadWindows = 4
-	}
-	if c.MetricsWindow < 0 {
-		c.MetricsWindow = 0
 	}
 	return c
 }
@@ -199,22 +183,18 @@ type Profiler struct {
 	// measurements (the runtime memory model is on): MeasuredDemands then
 	// replaces declared memory with the measured projection.
 	sawMemory bool
-	// fullWindow is the configured metrics window when
-	// ProfilerConfig.MetricsWindow is set; otherwise the longest flush
-	// interval seen — the configured window, once one full window has
-	// flushed. Partial flushes (mid-window Reassign, trailing Finish)
-	// scale their growth deltas up to this length so MemGrowthMB stays a
+	// lastFlushFull classifies the most recent flush against the samples'
+	// FullWindow, and is shared with the controller's decision clocks.
+	// Partial flushes (mid-window Reassign, trailing Finish) scale their
+	// growth deltas up to a full window so MemGrowthMB stays a
 	// per-full-window slope, and are excluded from the Windows() count: a
-	// 250 ms slice is not a window of evidence. lastFlushFull is the
-	// classification of the most recent flush, shared with the
-	// controller's decision clocks.
-	fullWindow    time.Duration
+	// 250 ms slice is not a window of evidence.
 	lastFlushFull bool
 }
 
 // NewProfiler returns a Profiler with the given configuration.
 func NewProfiler(cfg ProfilerConfig) *Profiler {
-	p := &Profiler{
+	return &Profiler{
 		cfg:        cfg.withDefaults(),
 		stats:      make(map[compKey]*ComponentStats),
 		dead:       make(map[string]map[int]bool),
@@ -223,10 +203,6 @@ func NewProfiler(cfg ProfilerConfig) *Profiler {
 		nodeBusy:   make(map[cluster.NodeID]time.Duration),
 		prevMaxMem: make(map[compKey]float64),
 	}
-	if p.cfg.MetricsWindow > 0 {
-		p.fullWindow = p.cfg.MetricsWindow
-	}
-	return p
 }
 
 // Windows returns the number of full metrics windows observed. Partial
@@ -252,21 +228,16 @@ func (p *Profiler) LastFlushFull() bool {
 func (p *Profiler) OnWindow(samples []simulator.TaskSample) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	window := time.Duration(0)
+	var window, full time.Duration
 	if len(samples) > 0 {
 		window = samples[0].WindowEnd - samples[0].WindowStart
+		full = samples[0].FullWindow
 	}
 	p.lastFlushFull = false
 	if window <= 0 {
 		return
 	}
-	// With a configured MetricsWindow the reference is fixed; otherwise it
-	// is inferred as the largest span seen so far (legacy behaviour, which
-	// over-trusts a sub-window first flush).
-	if p.cfg.MetricsWindow <= 0 && window > p.fullWindow {
-		p.fullWindow = window
-	}
-	p.lastFlushFull = window >= p.fullWindow
+	p.lastFlushFull = window >= full
 	if p.lastFlushFull {
 		p.windows++
 	}
@@ -388,7 +359,6 @@ func (p *Profiler) OnWindow(samples []simulator.TaskSample) {
 			foldEdge(s.Topology, s.Component, &s.Edges[j])
 		}
 	}
-	alpha := p.cfg.Alpha
 	for _, k := range keys {
 		a := accs[k]
 		st := p.stats[k]
@@ -418,8 +388,8 @@ func (p *Profiler) OnWindow(samples []simulator.TaskSample) {
 			// A partial flush (mid-window Reassign, trailing Finish) spans
 			// less than a full metrics window; its delta is scaled up so
 			// the EWMA stays a per-full-window slope.
-			if window < p.fullWindow {
-				growth *= float64(p.fullWindow) / float64(window)
+			if window < full {
+				growth *= float64(full) / float64(window)
 			}
 			st.MemGrowthMB = ew(st.MemGrowthMB, growth)
 		} else if st.Windows > 1 {
@@ -522,6 +492,14 @@ func (p *Profiler) CrashedTasks(topo string) map[int]bool {
 		out[id] = true
 	}
 	return out
+}
+
+// measuresMemory reports whether samples have carried resident-memory
+// measurements, which is when the controller's plans keep memory headroom.
+func (p *Profiler) measuresMemory() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.sawMemory
 }
 
 // crashedCount is the controller's per-window probe: how many of topo's

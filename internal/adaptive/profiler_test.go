@@ -20,6 +20,7 @@ func sample(topo, comp string, id int, node cluster.NodeID, busyFrac, slowdown f
 		Node:            node,
 		WindowStart:     0,
 		WindowEnd:       window,
+		FullWindow:      window,
 		Busy:            time.Duration(busyFrac * float64(window)),
 		Slowdown:        slowdown,
 		NodeCPUCapacity: 100,
@@ -32,7 +33,7 @@ func sample(topo, comp string, id int, node cluster.NodeID, busyFrac, slowdown f
 // shares must come out exact: 4 fully-busy tasks under f=3.2 on 100 points
 // truly need 80 points each.
 func TestSaturatedAttributionRecoversTruePoints(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1})
+	p := NewProfiler(ProfilerConfig{})
 	var samples []simulator.TaskSample
 	for i := 0; i < 4; i++ {
 		samples = append(samples, sample("t", "work", i, "n0", 1.0, 3.2))
@@ -53,7 +54,7 @@ func TestSaturatedAttributionRecoversTruePoints(t *testing.T) {
 // TestUnsaturatedEstimateIsThreadFraction: with no contention the busy
 // fraction of one executor bounds its demand.
 func TestUnsaturatedEstimateIsThreadFraction(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1})
+	p := NewProfiler(ProfilerConfig{})
 	p.OnWindow([]simulator.TaskSample{
 		sample("t", "light", 0, "n0", 0.3, 1),
 		sample("t", "light", 1, "n1", 0.1, 1),
@@ -65,7 +66,7 @@ func TestUnsaturatedEstimateIsThreadFraction(t *testing.T) {
 }
 
 func TestEWMASmoothsWindows(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 0.5})
+	p := NewProfiler(ProfilerConfig{})
 	p.OnWindow([]simulator.TaskSample{sample("t", "c", 0, "n0", 0.8, 1)})
 	p.OnWindow([]simulator.TaskSample{sample("t", "c", 0, "n0", 0.4, 1)})
 	stats := p.Stats("t")
@@ -79,7 +80,7 @@ func TestEWMASmoothsWindows(t *testing.T) {
 }
 
 func TestDeadTasksExcluded(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1})
+	p := NewProfiler(ProfilerConfig{})
 	dead := sample("t", "c", 1, "n0", 0.9, 1)
 	dead.Dead = true
 	p.OnWindow([]simulator.TaskSample{
@@ -100,7 +101,7 @@ func TestDeadTasksExcluded(t *testing.T) {
 // hot estimate — otherwise the controller chases a phantom hotspot
 // forever. The dead tasks are also recorded for the planner to freeze.
 func TestFullyDeadComponentDecaysToIdle(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 1})
+	p := NewProfiler(ProfilerConfig{})
 	p.OnWindow([]simulator.TaskSample{sample("t", "work", 3, "n0", 1.0, 2)})
 	if got := p.Stats("t")[0].MaxUtilization; got != 1 {
 		t.Fatalf("pre-death MaxUtilization = %v", got)
@@ -131,7 +132,7 @@ func TestMeasuredDemandsReplaceDeclaredCPU(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	p := NewProfiler(ProfilerConfig{Alpha: 1})
+	p := NewProfiler(ProfilerConfig{})
 	p.OnWindow([]simulator.TaskSample{
 		sample("t", "s", 0, "n0", 0.1, 1),
 		sample("t", "work", 1, "n1", 1.0, 2),
@@ -169,7 +170,7 @@ func TestMeasuredDemandsProjectMemoryGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	p := NewProfiler(ProfilerConfig{Alpha: 1, MemLookaheadWindows: 4})
+	p := NewProfiler(ProfilerConfig{MemLookaheadWindows: 4})
 	// Two windows: the cache stage's max resident grows 300 -> 400.
 	p.OnWindow([]simulator.TaskSample{
 		memSample("t", "s", 0, "n0", 64),
@@ -182,8 +183,10 @@ func TestMeasuredDemandsProjectMemoryGrowth(t *testing.T) {
 		memSample("t", "cache", 2, "n1", 400),
 	})
 	d := p.MeasuredDemands(topo)
-	// Alpha 1: MemResidentMB = 400, MemGrowthMB = 100, projected 4 ahead.
-	if got, want := d["cache"].MemoryMB, 400.0+4*100.0; math.Abs(got-want) > 1e-9 {
+	// α = 0.5: MemResidentMB = 0.5·400 + 0.5·300 = 350; the first growth
+	// of 100 MB folds into a zero slope, so MemGrowthMB = 50; projected 4
+	// windows ahead.
+	if got, want := d["cache"].MemoryMB, 350.0+4*50.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("cache memory = %v, want %v (max resident + 4 windows of growth)", got, want)
 	}
 	// The honest flat component projects no growth.
@@ -193,7 +196,7 @@ func TestMeasuredDemandsProjectMemoryGrowth(t *testing.T) {
 
 	// Memory-blind samples (the runtime memory model is off, so no sample
 	// ever carries a node memory capacity): declarations must survive.
-	off := NewProfiler(ProfilerConfig{Alpha: 1})
+	off := NewProfiler(ProfilerConfig{})
 	off.OnWindow([]simulator.TaskSample{
 		sample("t", "s", 0, "n0", 0.2, 1),
 		sample("t", "cache", 1, "n1", 0.2, 1),
@@ -213,7 +216,7 @@ func TestMemGrowthNormalizesPartialWindows(t *testing.T) {
 		s.WindowStart, s.WindowEnd = start, end
 		return []simulator.TaskSample{s}
 	}
-	p := NewProfiler(ProfilerConfig{Alpha: 1, MemLookaheadWindows: 1})
+	p := NewProfiler(ProfilerConfig{MemLookaheadWindows: 1})
 	// One full 1s window, then a half-window partial flush over which the
 	// resident grew 50 MB — i.e. a 100 MB/full-window slope.
 	p.OnWindow(at(0, time.Second, 100))
@@ -222,7 +225,9 @@ func TestMemGrowthNormalizesPartialWindows(t *testing.T) {
 	if len(st) != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := st[0].MemGrowthMB; math.Abs(got-100) > 1e-9 {
-		t.Errorf("MemGrowthMB = %v, want 100 (50 MB over half a window)", got)
+	// 50 MB over half a window folds in as 100 MB into a zero slope at
+	// α = 0.5; unscaled it would read 25.
+	if got := st[0].MemGrowthMB; math.Abs(got-50) > 1e-9 {
+		t.Errorf("MemGrowthMB = %v, want 50 (50 MB over half a window, then α = 0.5)", got)
 	}
 }

@@ -36,7 +36,7 @@ func chattySamples(window time.Duration, tuples int64, remote bool) []simulator.
 // component-pair rate, cumulative totals track remote traffic, and the
 // materialized TrafficMatrix carries the rate.
 func TestProfilerFoldsEdgeRates(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 0.5})
+	p := NewProfiler(ProfilerConfig{})
 	p.OnWindow(chattySamples(time.Second, 1000, true))
 	edges := p.EdgeStats("t")
 	if len(edges) != 1 {
@@ -182,7 +182,7 @@ func TestImbalanceTriggerQuietWhenPacked(t *testing.T) {
 // decay) instead of serving its last hot value forever; cumulative totals
 // stay as history.
 func TestEdgeRateDecaysWhenSourceDies(t *testing.T) {
-	p := NewProfiler(ProfilerConfig{Alpha: 0.5})
+	p := NewProfiler(ProfilerConfig{})
 	p.OnWindow(chattySamples(time.Second, 1000, true))
 	if got := p.EdgeStats("t")[0].RatePerSec; got != 1000 {
 		t.Fatalf("rate = %v, want 1000", got)

@@ -38,35 +38,27 @@ type IncrementalOptions struct {
 	// GlobalState.FirstFreeSlot.
 	SlotFor func(cluster.NodeID) (int, bool)
 	// Frozen pins tasks to their current placement and excludes them from
-	// the walk entirely — they neither move nor consume the MaxMoves
-	// budget. Frozen tasks still reserve their demand on their node (they
-	// are pinned, not gone).
+	// the walk entirely. Frozen tasks still reserve their demand on their
+	// node (they are pinned, not gone).
 	Frozen map[int]bool
 	// Dead marks tasks that no longer consume anything — killed by node
 	// failures or the runtime memory model's OOM enforcement. They are
-	// implicitly frozen (there is no executor left to migrate, and
-	// replanning them every round would starve live migrations of the
-	// MaxMoves budget), and unlike Frozen their demand is NOT debited
-	// from their node: an OOM-killed task's working set is freed and its
-	// CPU demand departs, so debiting it would deny survivors a node
-	// that in truth has that capacity back.
+	// implicitly frozen (there is no executor left to migrate), and
+	// unlike Frozen their demand is NOT debited from their node: an
+	// OOM-killed task's working set is freed and its CPU demand departs,
+	// so debiting it would deny survivors a node that in truth has that
+	// capacity back.
 	Dead map[int]bool
 	// Restart marks dead tasks that should be brought back: instead of
 	// being pinned as corpses they are force-placed on the best feasible
-	// node — no stickiness margin (there is no live placement to stick
-	// to) and no MaxMoves charge (leaving work dead to save a move would
-	// invert the budget's purpose). A restart Move is recorded even when
-	// the chosen node is the current one (restart-in-place after the node
-	// recovered); if no node is feasible the task stays put, dead, with no
-	// Move recorded. Like Dead tasks, their demand is not debited at the
+	// node, with no stickiness margin (there is no live placement to stick
+	// to). A restart Move is recorded even when the chosen node is the
+	// current one (restart-in-place after the node recovered); if no node
+	// is feasible the task stays put, dead, with no Move recorded. Like Dead tasks, their demand is not debited at the
 	// current placement — it returns only on the node the walk picks.
 	// Callers exclude dead *nodes* the usual way, by zeroing them in
 	// Available; Restart wins where it overlaps Dead or Frozen.
 	Restart map[int]bool
-	// MaxMoves caps migrations per call; 0 means no cap. Capping trades
-	// convergence speed for per-round disruption — the control loop's
-	// hysteresis carries the remainder into later rounds.
-	MaxMoves int
 	// Margin is the relative distance improvement an equally-feasible
 	// alternative must offer before a task moves (0.15 = 15% closer).
 	// It is the anti-oscillation stickiness of the control loop.
@@ -88,10 +80,9 @@ type IncrementalOptions struct {
 	// generalizes the exact solver's unit-weight pairwise cost (exact.go)
 	// to measured edge rates, and is what makes cold-topology
 	// consolidation produce moves: the symmetric ref-node distance cannot
-	// see that two chatty tasks sit one hop apart. Feasibility tiers, the
-	// stickiness margin (applied to the cost), and the move cap are
-	// unchanged; tasks with no measured traffic fall back to the distance
-	// objective. Nil (or an empty matrix) leaves the pass exactly as
+	// see that two chatty tasks sit one hop apart. Feasibility tiers and
+	// the stickiness margin (applied to the cost) are unchanged; tasks
+	// with no measured traffic fall back to the distance objective. Nil (or an empty matrix) leaves the pass exactly as
 	// before.
 	Traffic *TrafficMatrix
 }
@@ -360,7 +351,6 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 
 	next := NewAssignment(topo.Name(), s.Name()+"-incremental")
 	var moves []Move
-	forced := 0 // restart moves, exempt from the MaxMoves budget
 	for _, task := range order {
 		cur := current.Placements[task.ID]
 		restart := opts.Restart[task.ID]
@@ -417,7 +407,7 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 				continue
 			}
 			// Forced placement: best node wins outright, restart-in-place
-			// included, outside the MaxMoves budget.
+			// included.
 			avail[best] = avail[best].Sub(d)
 			if scorer != nil {
 				scorer.place(task.ID, best)
@@ -426,7 +416,6 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 			to := Placement{Node: nodes[best].ID, Slot: slot}
 			next.Place(task.ID, to)
 			moves = append(moves, Move{TaskID: task.ID, From: cur, To: to})
-			forced++
 			continue
 		}
 		chosen := ci
@@ -443,7 +432,7 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 				improves = bestTier < curTier ||
 					(bestTier == curTier && bestDist < curDist*(1-opts.Margin))
 			}
-			if improves && (opts.MaxMoves <= 0 || len(moves)-forced < opts.MaxMoves) {
+			if improves {
 				chosen = best
 			}
 		}

@@ -134,38 +134,3 @@ func TestIncrementalRestartStaysDeadWhenNothingFits(t *testing.T) {
 		}
 	}
 }
-
-func TestIncrementalRestartExemptFromMaxMoves(t *testing.T) {
-	topo := incrTopo(t, 4)
-	c := incrCluster(t)
-	ids := c.NodeIDs()
-	current := NewAssignment("incr", "r-storm")
-	comps := map[string]cluster.NodeID{"s": ids[0], "work": ids[1], "z": ids[2]}
-	restart := make(map[int]bool)
-	for _, task := range topo.Tasks() {
-		current.Place(task.ID, Placement{Node: comps[task.Component], Slot: 0})
-		if task.Component == "work" {
-			restart[task.ID] = true
-		}
-	}
-	sched := NewResourceAwareScheduler()
-	_, moves, err := sched.IncrementalReschedule(topo, c, current, IncrementalOptions{
-		Available: availExcluding(c, ids[1]),
-		Restart:   restart,
-		MaxMoves:  1,
-		Margin:    0.15,
-	})
-	if err != nil {
-		t.Fatalf("IncrementalReschedule: %v", err)
-	}
-	restarted := 0
-	for _, m := range moves {
-		if restart[m.TaskID] {
-			restarted++
-		}
-	}
-	if restarted != len(restart) {
-		t.Errorf("MaxMoves=1 starved failover: %d of %d tasks restarted",
-			restarted, len(restart))
-	}
-}

@@ -106,29 +106,6 @@ func TestIncrementalEscapesOvercommit(t *testing.T) {
 	}
 }
 
-func TestIncrementalMaxMovesCapsDisruption(t *testing.T) {
-	topo := incrTopo(t, 6)
-	c := incrCluster(t)
-	ids := c.NodeIDs()
-	current := NewAssignment("incr", "r-storm")
-	for _, task := range topo.Tasks() {
-		current.Place(task.ID, Placement{Node: ids[0], Slot: 0})
-	}
-	demands := map[string]resource.Vector{"work": {CPU: 80, MemoryMB: 128}}
-	sched := NewResourceAwareScheduler()
-	_, moves, err := sched.IncrementalReschedule(topo, c, current, IncrementalOptions{
-		Demands:  demands,
-		MaxMoves: 2,
-		Margin:   0.15,
-	})
-	if err != nil {
-		t.Fatalf("IncrementalReschedule: %v", err)
-	}
-	if len(moves) != 2 {
-		t.Errorf("moves = %d, want exactly the cap of 2", len(moves))
-	}
-}
-
 // TestIncrementalRespectsHardConstraints: move targets must satisfy the
 // hard memory axis under the measured demands.
 func TestIncrementalRespectsHardConstraints(t *testing.T) {
@@ -162,8 +139,8 @@ func TestIncrementalRespectsHardConstraints(t *testing.T) {
 }
 
 // TestIncrementalFrozenTasksPinnedAndFree: frozen tasks keep their
-// placement — even an infeasible one — and do not consume the MaxMoves
-// budget, so live migrations are never starved by unmovable (dead) tasks.
+// placement — even an infeasible one — and record no move, while the live
+// tasks beside them still escape the overloaded node.
 func TestIncrementalFrozenTasksPinnedAndFree(t *testing.T) {
 	topo := incrTopo(t, 6)
 	c := incrCluster(t)
@@ -177,10 +154,9 @@ func TestIncrementalFrozenTasksPinnedAndFree(t *testing.T) {
 	demands := map[string]resource.Vector{"work": {CPU: 80, MemoryMB: 128}}
 	sched := NewResourceAwareScheduler()
 	next, moves, err := sched.IncrementalReschedule(topo, c, current, IncrementalOptions{
-		Demands:  demands,
-		Frozen:   frozen,
-		MaxMoves: 3,
-		Margin:   0.15,
+		Demands: demands,
+		Frozen:  frozen,
+		Margin:  0.15,
 	})
 	if err != nil {
 		t.Fatalf("IncrementalReschedule: %v", err)
@@ -190,13 +166,16 @@ func TestIncrementalFrozenTasksPinnedAndFree(t *testing.T) {
 			t.Errorf("frozen task %d moved to %v", id, next.Placements[id])
 		}
 	}
-	// The full MaxMoves budget must have gone to live work tasks.
-	if len(moves) != 3 {
-		t.Fatalf("moves = %d, want 3 (budget spent on live tasks)", len(moves))
+	// The frozen tasks' 240 points keep the node overcommitted, so every
+	// live work task must leave it.
+	for _, task := range topo.Tasks() {
+		if task.Component == "work" && !frozen[task.ID] && next.Placements[task.ID].Node == ids[0] {
+			t.Errorf("live work task %d left on the overcommitted node", task.ID)
+		}
 	}
 	for _, m := range moves {
 		if frozen[m.TaskID] {
-			t.Errorf("budget spent on frozen task %d", m.TaskID)
+			t.Errorf("frozen task %d recorded a move", m.TaskID)
 		}
 	}
 }

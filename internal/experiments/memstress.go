@@ -56,17 +56,12 @@ func runMemoryStress(o Options) (*Report, error) {
 		Shards:        o.Shards,
 	}
 	// The adaptive loop projects measured memory growth far forward (the
-	// working sets ramp for many windows), triggers well under the OOM
-	// threshold, and places tasks only where the memory fill keeps
-	// headroom for further growth.
+	// working sets ramp for many windows) and triggers well under the OOM
+	// threshold. With memory measured, its plans keep headroom for
+	// further growth.
 	loopCfg := adaptive.LoopConfig{
-		Profiler: adaptive.ProfilerConfig{
-			MemLookaheadWindows: 40,
-		},
-		Controller: adaptive.ControllerConfig{
-			MemHigh:     0.7,
-			MemHeadroom: 0.8,
-		},
+		Profiler:   adaptive.ProfilerConfig{MemLookaheadWindows: 40},
+		Controller: adaptive.ControllerConfig{MemHigh: 0.7},
 	}
 
 	honest, err := workloads.MemStressChain(true)

@@ -30,7 +30,7 @@ func (n *Nimbus) RebalanceTopology(name string) error {
 // a scheduled topology — the adaptive control loop's alternative to
 // RebalanceTopology, which tears every placement down and restarts all
 // workers. The caller provides opts.Demands (typically the adaptive
-// profiler's measured per-component vectors) plus MaxMoves/Margin policy;
+// profiler's measured per-component vectors) plus Margin policy;
 // Nimbus supplies the cluster availability (other topologies' reservations
 // respected) and worker-slot resolution, and applies the new assignment
 // atomically, rolling back on failure. It returns the migrations applied —

@@ -31,10 +31,15 @@ type TaskSample struct {
 	NodeDead bool
 
 	// Window is the flush index (0-based); WindowStart/WindowEnd bound the
-	// sampled interval in virtual time.
+	// sampled interval in virtual time. FullWindow is the configured
+	// metrics window: an interval shorter than it is a partial flush (the
+	// slice before a placement change, or the tail at Duration). Like
+	// QueueCap it repeats a configured bound, so observers need no
+	// configuration of their own to tell the two apart.
 	Window      int
 	WindowStart time.Duration
 	WindowEnd   time.Duration
+	FullWindow  time.Duration
 
 	// Busy is the (overcommit-stretched) service time completed in the
 	// window; Busy over the window length is the executor's utilization.
@@ -197,6 +202,7 @@ func (s *Simulation) flushWindow(now time.Duration) {
 					Window:          s.windowIdx,
 					WindowStart:     start,
 					WindowEnd:       now,
+					FullWindow:      s.cfg.MetricsWindow,
 					Busy:            st.winBusy,
 					Slowdown:        st.node.slowdown,
 					NodeCPUCapacity: st.node.spec.Capacity.CPU,

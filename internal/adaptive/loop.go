@@ -205,7 +205,7 @@ func (l *Loop) arbitrate(t time.Duration) ([]RebalanceEvent, error) {
 			return nil, fmt.Errorf("planning rebalance of %q: %w", cl.name, err)
 		}
 		l.journalRecord(t, trace.CodePlanComputed, cl.name,
-			fmt.Sprintf("trigger=%s planned=%d cap=0", cl.trigger, len(moves)))
+			fmt.Sprintf("trigger=%s planned=%d", cl.trigger, len(moves)))
 		migrated := 0
 		if len(moves) > 0 {
 			// ReassignRestarting reports how many tasks actually moved

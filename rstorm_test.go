@@ -157,3 +157,63 @@ func TestPublicAPIClusterBuilder(t *testing.T) {
 		t.Errorf("custom node CPU = %v", got)
 	}
 }
+
+// TestDemandProfilerCountsOnlyFullWindows: a profiler built through the
+// facade classifies flushes against the run's configured window. With 1 s
+// windows and a task moved at 500 ms, the flushes [0, 0.5 s) and
+// [0.5 s, 1 s) are partial, so Windows() reads 0 after the move, 1 at 2 s
+// and 2 at 3 s. Inferring the window from the largest span seen read 1, 3
+// and 4.
+func TestDemandProfilerCountsOnlyFullWindows(t *testing.T) {
+	topo := buildWordCount(t)
+	c, err := rstorm.Emulab12()
+	if err != nil {
+		t.Fatalf("Emulab12: %v", err)
+	}
+	a, err := rstorm.NewResourceAwareScheduler().Schedule(topo, c, rstorm.NewGlobalState(c))
+	if err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	sim, err := rstorm.NewSimulation(c, rstorm.SimConfig{Duration: 4 * time.Second, MetricsWindow: time.Second})
+	if err != nil {
+		t.Fatalf("NewSimulation: %v", err)
+	}
+	if err := sim.AddTopology(topo, a); err != nil {
+		t.Fatalf("AddTopology: %v", err)
+	}
+	prof := rstorm.NewDemandProfiler()
+	if err := sim.SetObserver(prof); err != nil {
+		t.Fatalf("SetObserver: %v", err)
+	}
+	if err := sim.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := sim.RunTo(500 * time.Millisecond); err != nil {
+		t.Fatalf("RunTo: %v", err)
+	}
+	// Move task 0 to any other node: the move flushes [0, 500 ms).
+	moved := a.Clone()
+	for _, id := range c.NodeIDs() {
+		if id != a.Placements[0].Node {
+			moved.Place(0, rstorm.Placement{Node: id, Slot: 0})
+			break
+		}
+	}
+	if n, err := sim.Reassign(topo.Name(), moved); err != nil || n != 1 {
+		t.Fatalf("Reassign = %d, %v; want 1 move", n, err)
+	}
+	if got := prof.Windows(); got != 0 {
+		t.Errorf("Windows() after the move = %d, want 0", got)
+	}
+	for _, step := range []struct {
+		at   time.Duration
+		want int
+	}{{2 * time.Second, 1}, {3 * time.Second, 2}} {
+		if err := sim.RunTo(step.at); err != nil {
+			t.Fatalf("RunTo(%v): %v", step.at, err)
+		}
+		if got := prof.Windows(); got != step.want {
+			t.Errorf("Windows() at %v = %d, want %d", step.at, got, step.want)
+		}
+	}
+}

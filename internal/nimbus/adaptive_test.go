@@ -8,127 +8,8 @@ import (
 
 	"rstorm/internal/adaptive"
 	"rstorm/internal/cluster"
-	"rstorm/internal/core"
-	"rstorm/internal/resource"
 	"rstorm/internal/simulator"
-	"rstorm/internal/topology"
 )
-
-// liarTopo declares every task light while the "work" stage is truly
-// heavy, so a declaration-trusting schedule packs it onto one node.
-func liarNimbusTopo(t *testing.T) *topology.Topology {
-	t.Helper()
-	b := topology.NewBuilder("liar")
-	b.SetSpout("s", 2).SetCPULoad(10).SetMemoryLoad(256)
-	b.SetBolt("work", 6).ShuffleGrouping("s").SetCPULoad(10).SetMemoryLoad(256)
-	b.SetBolt("z", 2).ShuffleGrouping("work").SetCPULoad(10).SetMemoryLoad(256)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	return topo
-}
-
-func TestAdaptiveRebalanceMigratesOffenders(t *testing.T) {
-	c := testCluster(t)
-	n, err := New(c, core.NewResourceAwareScheduler())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	startAll(t, n, c)
-	topo := liarNimbusTopo(t)
-	if err := n.SubmitTopology(topo); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.RunSchedulingRound(); len(got) != 1 {
-		t.Fatalf("scheduled %v", got)
-	}
-	before := n.Assignment("liar")
-
-	// Measured truth arrives: each work task needs 80 points.
-	moves, err := n.AdaptiveRebalance("liar", core.IncrementalOptions{
-		Demands: map[string]resource.Vector{"work": {CPU: 80, MemoryMB: 256}},
-		Margin:  0.15,
-	})
-	if err != nil {
-		t.Fatalf("AdaptiveRebalance: %v", err)
-	}
-	if len(moves) == 0 || len(moves) >= topo.TotalTasks() {
-		t.Fatalf("moves = %d, want within (0, %d)", len(moves), topo.TotalTasks())
-	}
-	after := n.Assignment("liar")
-	if after == nil || after == before {
-		t.Fatal("assignment not replaced")
-	}
-	if err := after.Validate(topo, c, resource.DefaultClasses()); err != nil {
-		t.Fatalf("post-rebalance assignment invalid: %v", err)
-	}
-	// Only the recorded moves changed placements.
-	movedSet := make(map[int]bool, len(moves))
-	for _, m := range moves {
-		movedSet[m.TaskID] = true
-		if before.Placements[m.TaskID] != m.From || after.Placements[m.TaskID] != m.To {
-			t.Errorf("move %v does not match assignments", m)
-		}
-	}
-	for id, p := range before.Placements {
-		if !movedSet[id] && after.Placements[id] != p {
-			t.Errorf("task %d moved without a Move record", id)
-		}
-	}
-	// Store round-trip reflects the new assignment.
-	data, err := n.Store().Get("/assignments/liar")
-	if err != nil {
-		t.Fatalf("stored assignment: %v", err)
-	}
-	decoded, err := DecodeAssignment(data)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if decoded.Placements[moves[0].TaskID] != moves[0].To {
-		t.Error("store not updated with migrated placement")
-	}
-	// Event logged.
-	joined := strings.Join(n.Events(), "\n")
-	if !strings.Contains(joined, "adaptive rebalance") {
-		t.Errorf("events missing adaptive rebalance: %v", n.Events())
-	}
-}
-
-func TestAdaptiveRebalanceValidation(t *testing.T) {
-	c := testCluster(t)
-	n, err := New(c, core.NewResourceAwareScheduler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	startAll(t, n, c)
-	if _, err := n.AdaptiveRebalance("ghost", core.IncrementalOptions{}); err == nil {
-		t.Error("unknown topology accepted")
-	}
-	topo := testTopo(t, "unsched", 2)
-	if err := n.SubmitTopology(topo); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.AdaptiveRebalance("unsched", core.IncrementalOptions{}); err == nil {
-		t.Error("unscheduled topology accepted")
-	}
-
-	// Wrong scheduler kind.
-	even, err := New(c, core.EvenScheduler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	startAll(t, even, c)
-	topo2 := testTopo(t, "even", 2)
-	if err := even.SubmitTopology(topo2); err != nil {
-		t.Fatal(err)
-	}
-	even.RunSchedulingRound()
-	if _, err := even.AdaptiveRebalance("even", core.IncrementalOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "r-storm") {
-		t.Errorf("even-scheduler rebalance err = %v", err)
-	}
-}
 
 // TestAdaptiveRoute covers /adaptive with and without a controller, plus
 // its method-not-allowed path.

@@ -338,9 +338,8 @@ func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
 				frozen[task.ID] = true
 			}
 		}
-		// Plan with this topology's own reservation lifted, exactly like
-		// AdaptiveRebalance; Remove also frees its slots on live nodes so
-		// SlotFor can re-offer them.
+		// Plan with this topology's own reservation lifted; Remove also
+		// frees its slots on live nodes so SlotFor can re-offer them.
 		n.state.Remove(name)
 		requeue := func() {
 			_ = n.store.Delete(assignmentsPath + "/" + name)

@@ -3,9 +3,6 @@ package nimbus
 import (
 	"fmt"
 	"sort"
-
-	"rstorm/internal/cluster"
-	"rstorm/internal/core"
 )
 
 // RebalanceTopology tears down a topology's current assignment and
@@ -24,59 +21,6 @@ func (n *Nimbus) RebalanceTopology(name string) error {
 	n.pending = append(n.pending, name)
 	n.logf("rebalance requested for %q", name)
 	return nil
-}
-
-// AdaptiveRebalance applies an incremental, measured-demand reschedule of
-// a scheduled topology — the adaptive control loop's alternative to
-// RebalanceTopology, which tears every placement down and restarts all
-// workers. The caller provides opts.Demands (typically the adaptive
-// profiler's measured per-component vectors) plus Margin policy;
-// Nimbus supplies the cluster availability (other topologies' reservations
-// respected) and worker-slot resolution, and applies the new assignment
-// atomically, rolling back on failure. It returns the migrations applied —
-// strictly fewer tasks than a teardown whenever the placement is partially
-// healthy.
-//
-// It requires the configured scheduler to be the resource-aware scheduler,
-// whose distance machinery the incremental pass reuses.
-func (n *Nimbus) AdaptiveRebalance(name string, opts core.IncrementalOptions) ([]core.Move, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	topo := n.topologies[name]
-	if topo == nil {
-		return nil, fmt.Errorf("topology %q is not submitted", name)
-	}
-	ras, ok := n.scheduler.(*core.ResourceAwareScheduler)
-	if !ok {
-		return nil, fmt.Errorf("adaptive rebalance requires the r-storm scheduler (configured: %s)",
-			n.scheduler.Name())
-	}
-	current := n.state.Assignment(name)
-	if current == nil {
-		return nil, fmt.Errorf("topology %q has no assignment to rebalance", name)
-	}
-	// Plan against availability with this topology's own reservation
-	// lifted; on any failure the original assignment is restored.
-	n.state.Remove(name)
-	rollback := func() {
-		_ = n.state.Apply(topo, current)
-	}
-	opts.Available = n.state.AvailableAll()
-	opts.SlotFor = func(id cluster.NodeID) (int, bool) {
-		return n.state.FirstFreeSlot(id)
-	}
-	next, moves, err := ras.IncrementalReschedule(topo, n.cluster, current, opts)
-	if err != nil {
-		rollback()
-		return nil, fmt.Errorf("incremental reschedule of %q: %w", name, err)
-	}
-	if err := n.state.Apply(topo, next); err != nil {
-		rollback()
-		return nil, fmt.Errorf("applying incremental assignment for %q: %w", name, err)
-	}
-	n.persistAssignment(name, next)
-	n.logf("adaptive rebalance of %q migrated %d of %d tasks", name, len(moves), topo.TotalTasks())
-	return moves, nil
 }
 
 // ClusterSummary is a point-in-time view of scheduling state, served by

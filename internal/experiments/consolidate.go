@@ -66,7 +66,7 @@ func runConsolidate(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, loopCfg)
+	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, loopCfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("consolidate adaptive: %w", err)
 	}

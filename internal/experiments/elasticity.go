@@ -7,6 +7,7 @@ import (
 	"rstorm/internal/adaptive"
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
+	"rstorm/internal/faults"
 	"rstorm/internal/metrics"
 	"rstorm/internal/simulator"
 	"rstorm/internal/topology"
@@ -83,7 +84,7 @@ func runElasticity(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, adaptive.LoopConfig{})
+	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, adaptive.LoopConfig{}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("elasticity adaptive: %w", err)
 	}
@@ -148,32 +149,26 @@ func runElasticity(o Options) (*Report, error) {
 	}, nil
 }
 
-// simulateAdaptive schedules topo from its (mis-)declarations, then runs it
-// under the adaptive control loop configured by loopCfg.
+// simulateAdaptive loads topo as R-Storm schedules it from its
+// (mis-)declarations, installs schedule's faults, and runs it under the
+// adaptive control loop configured by loopCfg.
 func simulateAdaptive(
 	c *cluster.Cluster,
 	topo *topology.Topology,
 	cfg simulator.Config,
 	loopCfg adaptive.LoopConfig,
+	schedule faults.Schedule,
 ) (*adaptive.LoopResult, error) {
 	sched := core.NewResourceAwareScheduler()
-	state := core.NewGlobalState(c)
-	a, err := sched.Schedule(topo, c, state)
-	if err != nil {
-		return nil, fmt.Errorf("scheduling %q: %w", topo.Name(), err)
-	}
-	if err := state.Apply(topo, a); err != nil {
-		return nil, fmt.Errorf("apply %q: %w", topo.Name(), err)
-	}
-	sim, err := simulator.New(c, cfg)
+	sim, assignments, err := load(c, []*topology.Topology{topo}, sched, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := sim.AddTopology(topo, a); err != nil {
+	if err := schedule.Apply(sim); err != nil {
 		return nil, err
 	}
 	loop := adaptive.NewLoop(sim, c, sched, loopCfg)
-	if err := loop.Manage(topo, a); err != nil {
+	if err := loop.Manage(topo, assignments[topo.Name()]); err != nil {
 		return nil, err
 	}
 	return loop.Run()

@@ -107,32 +107,48 @@ type outcome struct {
 	assignments map[string]*core.Assignment
 }
 
-// simulate schedules topos in order with the given scheduler (applying
-// each assignment to shared state, as Nimbus would) and runs them together.
+// load schedules topos in order with the given scheduler (applying each
+// assignment to shared state, as Nimbus would) and adds them to a new
+// simulation. Callers then install faults, attach the adaptive loop, or
+// run it.
+func load(
+	c *cluster.Cluster,
+	topos []*topology.Topology,
+	sched core.Scheduler,
+	cfg simulator.Config,
+) (*simulator.Simulation, map[string]*core.Assignment, error) {
+	state := core.NewGlobalState(c)
+	sim, err := simulator.New(c, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	assignments := make(map[string]*core.Assignment, len(topos))
+	for _, topo := range topos {
+		a, err := sched.Schedule(topo, c, state)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s scheduling %q: %w", sched.Name(), topo.Name(), err)
+		}
+		if err := state.Apply(topo, a); err != nil {
+			return nil, nil, fmt.Errorf("apply %q: %w", topo.Name(), err)
+		}
+		if err := sim.AddTopology(topo, a); err != nil {
+			return nil, nil, fmt.Errorf("add %q: %w", topo.Name(), err)
+		}
+		assignments[topo.Name()] = a
+	}
+	return sim, assignments, nil
+}
+
+// simulate loads topos and runs them together.
 func simulate(
 	c *cluster.Cluster,
 	topos []*topology.Topology,
 	sched core.Scheduler,
 	cfg simulator.Config,
 ) (*outcome, error) {
-	state := core.NewGlobalState(c)
-	sim, err := simulator.New(c, cfg)
+	sim, assignments, err := load(c, topos, sched, cfg)
 	if err != nil {
 		return nil, err
-	}
-	assignments := make(map[string]*core.Assignment, len(topos))
-	for _, topo := range topos {
-		a, err := sched.Schedule(topo, c, state)
-		if err != nil {
-			return nil, fmt.Errorf("%s scheduling %q: %w", sched.Name(), topo.Name(), err)
-		}
-		if err := state.Apply(topo, a); err != nil {
-			return nil, fmt.Errorf("apply %q: %w", topo.Name(), err)
-		}
-		if err := sim.AddTopology(topo, a); err != nil {
-			return nil, fmt.Errorf("add %q: %w", topo.Name(), err)
-		}
-		assignments[topo.Name()] = a
 	}
 	result, err := sim.Run()
 	if err != nil {

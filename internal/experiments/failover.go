@@ -111,7 +111,14 @@ func runFailover(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	static, err := simulateFaulted(c, staticTopo, cfg, schedule)
+	staticSim, _, err := load(c, []*topology.Topology{staticTopo}, core.NewResourceAwareScheduler(), cfg)
+	if err != nil {
+		return nil, fmt.Errorf("failover static: %w", err)
+	}
+	if err := schedule.Apply(staticSim); err != nil {
+		return nil, err
+	}
+	static, err := staticSim.Run()
 	if err != nil {
 		return nil, fmt.Errorf("failover static: %w", err)
 	}
@@ -121,13 +128,13 @@ func runFailover(o Options) (*Report, error) {
 		return nil, err
 	}
 	loopCfg := adaptive.LoopConfig{FlapDamping: failoverFlapDamping}
-	adaptiveOut, err := simulateAdaptiveFaulted(c, adaptiveTopo, cfg, loopCfg, schedule)
+	adaptiveOut, err := simulateAdaptive(c, adaptiveTopo, cfg, loopCfg, schedule)
 	if err != nil {
 		return nil, fmt.Errorf("failover adaptive: %w", err)
 	}
 
 	name := staticTopo.Name()
-	staticTR := static.result.Topology(name)
+	staticTR := static.Topology(name)
 	adaptiveTR := adaptiveOut.Result.Topology(name)
 	// Pre-crash baseline: the fully-healthy windows after warmup, before
 	// the crash window. Identical placements make the two runs agree here;
@@ -185,17 +192,17 @@ func runFailover(o Options) (*Report, error) {
 			},
 			{
 				Label:    "tuples replayed (at-least-once)",
-				Baseline: float64(static.result.TuplesReplayed),
+				Baseline: float64(static.TuplesReplayed),
 				RStorm:   float64(adaptiveOut.Result.TuplesReplayed),
 			},
 			{
 				Label:    "tuples dropped",
-				Baseline: float64(static.result.TuplesDropped),
+				Baseline: float64(static.TuplesDropped),
 				RStorm:   float64(adaptiveOut.Result.TuplesDropped),
 			},
 			{
 				Label:    "victim downtime (s)",
-				Baseline: static.result.NodeDowntime[victim].Seconds(),
+				Baseline: static.NodeDowntime[victim].Seconds(),
 				RStorm:   adaptiveOut.Result.NodeDowntime[victim].Seconds(),
 			},
 		},
@@ -275,73 +282,4 @@ func recoverySeconds(d time.Duration) float64 {
 		return -1
 	}
 	return d.Seconds()
-}
-
-// simulateFaulted is simulate for a single topology with a fault schedule
-// installed before start.
-func simulateFaulted(
-	c *cluster.Cluster,
-	topo *topology.Topology,
-	cfg simulator.Config,
-	schedule faults.Schedule,
-) (*outcome, error) {
-	state := core.NewGlobalState(c)
-	sched := core.NewResourceAwareScheduler()
-	a, err := sched.Schedule(topo, c, state)
-	if err != nil {
-		return nil, fmt.Errorf("scheduling %q: %w", topo.Name(), err)
-	}
-	if err := state.Apply(topo, a); err != nil {
-		return nil, fmt.Errorf("apply %q: %w", topo.Name(), err)
-	}
-	sim, err := simulator.New(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sim.AddTopology(topo, a); err != nil {
-		return nil, err
-	}
-	if err := schedule.Apply(sim); err != nil {
-		return nil, err
-	}
-	result, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &outcome{result: result, assignments: map[string]*core.Assignment{topo.Name(): a}}, nil
-}
-
-// simulateAdaptiveFaulted is simulateAdaptive with a fault schedule
-// installed before the loop starts.
-func simulateAdaptiveFaulted(
-	c *cluster.Cluster,
-	topo *topology.Topology,
-	cfg simulator.Config,
-	loopCfg adaptive.LoopConfig,
-	schedule faults.Schedule,
-) (*adaptive.LoopResult, error) {
-	sched := core.NewResourceAwareScheduler()
-	state := core.NewGlobalState(c)
-	a, err := sched.Schedule(topo, c, state)
-	if err != nil {
-		return nil, fmt.Errorf("scheduling %q: %w", topo.Name(), err)
-	}
-	if err := state.Apply(topo, a); err != nil {
-		return nil, fmt.Errorf("apply %q: %w", topo.Name(), err)
-	}
-	sim, err := simulator.New(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := sim.AddTopology(topo, a); err != nil {
-		return nil, err
-	}
-	if err := schedule.Apply(sim); err != nil {
-		return nil, err
-	}
-	loop := adaptive.NewLoop(sim, c, sched, loopCfg)
-	if err := loop.Manage(topo, a); err != nil {
-		return nil, err
-	}
-	return loop.Run()
 }

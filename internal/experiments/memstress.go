@@ -86,7 +86,7 @@ func runMemoryStress(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, loopCfg)
+	adaptiveOut, err := simulateAdaptive(c, lyingAdaptive, cfg, loopCfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("memstress adaptive: %w", err)
 	}

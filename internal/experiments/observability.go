@@ -11,6 +11,7 @@ import (
 	"rstorm/internal/core"
 	"rstorm/internal/faults"
 	"rstorm/internal/simulator"
+	"rstorm/internal/topology"
 	"rstorm/internal/trace"
 )
 
@@ -77,21 +78,11 @@ func runObservedChaos(o Options, observed bool) (*observedOutcome, error) {
 	}
 
 	sched := core.NewResourceAwareScheduler()
-	state := core.NewGlobalState(c)
-	a, err := sched.Schedule(topo, c, state)
-	if err != nil {
-		return nil, fmt.Errorf("scheduling %q: %w", topo.Name(), err)
-	}
-	if err := state.Apply(topo, a); err != nil {
-		return nil, fmt.Errorf("apply %q: %w", topo.Name(), err)
-	}
-	sim, err := simulator.New(c, cfg)
+	sim, assignments, err := load(c, []*topology.Topology{topo}, sched, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := sim.AddTopology(topo, a); err != nil {
-		return nil, err
-	}
+	a := assignments[topo.Name()]
 	victim := busiestNode(topo, a)
 	schedule := faults.Schedule{
 		{Kind: faults.Crash, Node: victim, At: o.Duration / 3},

@@ -63,6 +63,15 @@ func (b *BusyTracker) AddBusy(d time.Duration) {
 	}
 }
 
+// Cancel takes back d of busy time recorded before it was spent: a link
+// records each transfer's serialization when it starts, and a crash can
+// cut the transfer short.
+func (b *BusyTracker) Cancel(d time.Duration) {
+	if d > 0 {
+		b.busy -= d
+	}
+}
+
 // Utilization returns busy/total clamped to [0, 1]; 0 if total <= 0.
 func (b *BusyTracker) Utilization(total time.Duration) float64 {
 	if total <= 0 {

@@ -53,4 +53,9 @@ func TestBusyTracker(t *testing.T) {
 	if got := b.Utilization(0); got != 0 {
 		t.Errorf("Utilization zero total = %v", got)
 	}
+	b.Cancel(time.Second)
+	b.Cancel(-time.Second) // ignored
+	if got := b.Utilization(10 * time.Second); got != 0.4 {
+		t.Errorf("Utilization after Cancel = %v", got)
+	}
 }

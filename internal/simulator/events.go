@@ -55,10 +55,12 @@ type completion struct {
 type simEvent struct {
 	ln   *simLane
 	kind uint8
-	// inc is the task's incarnation when a task event was scheduled. A
-	// spout cycle or service completion from an earlier incarnation is
-	// stale: its executor died and was restarted before it fired, so it
-	// takes the dead-task path.
+	// inc is the task's incarnation when a task event was scheduled, or
+	// the link's when a serialization began (evLinkDone). A spout cycle or
+	// service completion from an earlier incarnation is stale: its
+	// executor died and was restarted before it fired, so it takes the
+	// dead-task path. A stale evLinkDone's link failed mid-transfer, so
+	// its tuple is dropped.
 	inc  uint32
 	task *simTask   // spout/bolt the event concerns
 	tup  *tuple     // evBoltFire, evArrive
@@ -120,9 +122,14 @@ func (e *simEvent) Fire() {
 		ln.freeEvent(e)
 		ln.enqueueAt(dest, tup, comp)
 	case evLinkDone:
-		n, tr := e.link, e.tr
+		n, tr, live := e.link, e.tr, e.inc == e.link.inc
 		ln.freeEvent(e)
-		ln.linkDone(n, tr)
+		if live {
+			ln.linkDone(n, tr)
+		} else {
+			// The link failed mid-serialization: the transfer is lost.
+			ln.dropTuple(tr.tup)
+		}
 	case evComplete:
 		comp := e.comp
 		ln.freeEvent(e)

@@ -7,6 +7,7 @@ import (
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
 	"rstorm/internal/faults"
+	"rstorm/internal/topology"
 )
 
 // startChain schedules chainTopo on the emulab cluster and starts a
@@ -307,5 +308,74 @@ func TestInjectFaultValidation(t *testing.T) {
 	}
 	if err := sim.InjectFault(faults.Fault{Kind: faults.Recover, Node: c.NodeIDs()[0], At: time.Second}); err != nil {
 		t.Errorf("pre-start recover rejected: %v", err)
+	}
+}
+
+// processedFrom counts one component's executions in the windows that
+// start at or after from.
+type processedFrom struct {
+	comp string
+	from time.Duration
+	n    int64
+}
+
+func (p *processedFrom) OnWindow(samples []TaskSample) {
+	for i := range samples {
+		if s := &samples[i]; s.Component == p.comp && s.WindowStart >= p.from {
+			p.n += s.Processed
+		}
+	}
+}
+
+// TestCrashDropsNICTransferInService: a crash drops the transfer its NIC
+// is serializing, not only the ones queued behind it. One 1 MiB tuple is
+// in flight at a time (max pending 1) from a spout on node 0 to a bolt on
+// node 1, and node 0 crashes at 500 ms while its NIC is serving: no tuple
+// may reach the bolt after the crash, since no live spout is left to emit
+// one, and the NIC's busy time may not run past the crash.
+func TestCrashDropsNICTransferInService(t *testing.T) {
+	b := topology.NewBuilder("bulk")
+	b.SetSpout("spout", 1).SetCPULoad(10).SetMemoryLoad(128).
+		SetProfile(topology.ExecProfile{CPUPerTuple: 100 * time.Microsecond, TupleBytes: 1 << 20})
+	b.SetBolt("bolt", 1).ShuffleGrouping("spout").SetCPULoad(10).SetMemoryLoad(128).
+		SetProfile(topology.ExecProfile{CPUPerTuple: 100 * time.Microsecond, TupleBytes: 64})
+	b.SetMaxSpoutPending(1)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	c := emulabCluster(t)
+	ids := c.NodeIDs()
+	a := core.NewAssignment(topo.Name(), "manual")
+	a.Place(0, core.Placement{Node: ids[0], Slot: 0})
+	a.Place(1, core.Placement{Node: ids[1], Slot: 0})
+	const crashAt = 500 * time.Millisecond
+	sim, err := New(c, Config{Duration: 2 * time.Second, MetricsWindow: crashAt})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := sim.AddTopology(topo, a); err != nil {
+		t.Fatalf("AddTopology: %v", err)
+	}
+	after := &processedFrom{comp: "bolt", from: crashAt}
+	if err := sim.SetObserver(after); err != nil {
+		t.Fatalf("SetObserver: %v", err)
+	}
+	if err := sim.InjectFault(faults.Fault{Kind: faults.Crash, Node: ids[0], At: crashAt}); err != nil {
+		t.Fatalf("InjectFault: %v", err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	tr := res.Topology(topo.Name())
+	if after.n != 0 {
+		t.Errorf("bolt processed %d tuples after the crash (of %d in all)", after.n, tr.TuplesProcessed)
+	}
+	if res.TuplesDropped != 1 {
+		t.Errorf("dropped %d tuples, want the 1 in service at the crash", res.TuplesDropped)
+	}
+	if busy := time.Duration(res.NICUtilization[ids[0]] * float64(2*time.Second)); busy > crashAt {
+		t.Errorf("crashed NIC busy %v, longer than the %v it was up", busy, crashAt)
 	}
 }

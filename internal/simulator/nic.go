@@ -37,9 +37,15 @@ type link struct {
 	capacity int
 	window   int
 
-	queue    pardes.Ring[transfer]
-	waiters  pardes.Ring[transfer]
-	serving  bool
+	queue   pardes.Ring[transfer]
+	waiters pardes.Ring[transfer]
+	serving bool
+	// inc is the link's incarnation, bumped by each fail. The transfer in
+	// service carries it in its evLinkDone, so one that a crash cut short
+	// finishes stale. serveEnd is when the transfer in service finishes
+	// serializing.
+	inc      uint32
+	serveEnd time.Duration
 	inFlight int
 	busy     metrics.BusyTracker
 }
@@ -95,9 +101,11 @@ func (n *link) startServe(ln *simLane) {
 		}
 	}
 	n.busy.AddBusy(service)
+	n.serveEnd = ln.eng.Now() + service
 	ev := ln.newEvent(evLinkDone)
 	ev.link = n
 	ev.tr = tr
+	ev.inc = n.inc
 	ln.eng.ScheduleEvent(service, ev)
 }
 
@@ -126,8 +134,16 @@ func (ln *simLane) linkDone(n *link, tr transfer) {
 	n.startServe(ln)
 }
 
-// fail drops everything queued and unblocks parked senders.
+// fail drops everything queued and unblocks parked senders. The transfer
+// in service is dropped too, when its now stale evLinkDone fires; it was
+// charged its whole serialization when it started, so the part the crash
+// cut short is taken back.
 func (n *link) fail(ln *simLane) {
+	n.inc++
+	if n.serving {
+		n.serving = false
+		n.busy.Cancel(n.serveEnd - ln.eng.Now())
+	}
 	for n.queue.Len() > 0 {
 		ln.dropTuple(n.queue.Pop().tup)
 	}

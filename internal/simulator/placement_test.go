@@ -153,12 +153,12 @@ func TestPlacementChangeDigest(t *testing.T) {
 	// Per seed: the one-lane partition (Shards 0), then the per-rack
 	// partition (every Shards >= 1 must read it).
 	digests := map[int64][2]string{
-		1: {"45cf30ba91b871702044a9110440aac9adbd583fbfd9f712a11e85e2f4f50986", "fa4bec1547619c1dd654e059b3b8c9b45e90b5da28def94d00b7e4057a7984c7"},
-		2: {"0cf07817ef6df0e938361e9bc80308a45e0d89811f214e9ef160ac1d853c3660", "c36816be9a037655bfd15bbe565c9f6e0989fca687a960e72a8f5ce84cb7c8cd"},
-		3: {"2ff3e5532ccafe2bedcf6b0beda2263ef55c1d637ce4d04100c5ec5fe775ada6", "a07f463bde89b2b2e6f37913066862ee8a34e724d4830f0a81aaf49e9e20da61"},
-		4: {"729de13881af2bd49e8d019d85a2614dfd21cda82d0ddca74bf85c43d43694ac", "6ec9b6edd5114efad57f52cd23e9ab0818a6a16c3caa703bb98ca48cb61b7782"},
-		5: {"fc47f6210e55420bcf2b5756ec5409bef530e4d9e70c97b1897b150c9ad87445", "29b0fac672acc9cc80a32a4a2dbb9b8572ab727d7759e5baf00e6d508147aa29"},
-		6: {"3bbb7fb950768154386e71495294d0f874efc5d8bdab648f163f27e98cd94d10", "c9a9cf28cde77988553719172fc7abd14b8eb7b6694f9aec50ec074946bb4ab2"},
+		1: {"d0cb60b03915afa04340423b5c382c2efaaf8fc5ffcffe9426de7c8381d8a345", "5ef42e28ed0cd153d5024786581b06c88cdb1cb0fd7e58d481010ae4af64e786"},
+		2: {"1afad2966e813d13cf22f76214873b908ff1ddb91d620d59fb5383fd31ffa427", "fc7683e8feb59021217d95a22c88045b039acf4392dad47908f51bb10b361495"},
+		3: {"d860dd7cefbaca69fb755fd1ade0526132f3174ace6c92bcb3681ef9e367f8ea", "708ac7902a39c76cfde49240b69058a9a019104bc924dc2ba5e395417e5c5643"},
+		4: {"cd139aa4562bb4f89358e3325d638706f88e94a395689093bb236bd298c525c9", "1fca8c3182ac00ba14cb8aaf4f73ec1223ad26034ffc8ad58d4b2ff0d0993835"},
+		5: {"e1707c6a1feba31046b440e513d4ae2c664d8bcd1338485f427c40b4ee48830e", "3d8da56f97aba9bc465bd1d8db3b4dbd777fd4a755e484ea768a7c5b7302b8d7"},
+		6: {"226d4380e5ac5731331754ee1a5ac65b75dc1f37d38a05ed85d731909a7125d7", "5516c486f1c8049500cf33e69d78ad9f4212eb34b36628ff595655ecdddc1a35"},
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		want := digests[seed]

@@ -83,10 +83,9 @@ type Loop struct {
 	cfg     LoopConfig
 	guard   *FlapGuard
 
-	names    []string
-	topos    map[string]*topology.Topology
-	current  map[string]*core.Assignment
-	priority map[string]int
+	names   []string
+	topos   map[string]*topology.Topology
+	current map[string]*core.Assignment
 }
 
 // NewLoop builds a Loop over a prepared (not yet started) simulation.
@@ -103,14 +102,13 @@ func NewLoop(
 	}
 	ctrl := NewController(NewProfiler(cfg.Profiler), sched, cfg.Controller)
 	return &Loop{
-		sim:      sim,
-		cluster:  clu,
-		ctrl:     ctrl,
-		cfg:      cfg,
-		guard:    NewFlapGuard(cfg.FlapDamping),
-		topos:    make(map[string]*topology.Topology),
-		current:  make(map[string]*core.Assignment),
-		priority: make(map[string]int),
+		sim:     sim,
+		cluster: clu,
+		ctrl:    ctrl,
+		cfg:     cfg,
+		guard:   NewFlapGuard(cfg.FlapDamping),
+		topos:   make(map[string]*topology.Topology),
+		current: make(map[string]*core.Assignment),
 	}
 }
 
@@ -132,7 +130,6 @@ func (l *Loop) Manage(topo *topology.Topology, a *core.Assignment) error {
 	l.names = append(l.names, name)
 	l.topos[name] = topo
 	l.current[name] = a
-	l.priority[name] = topo.Priority()
 	l.ctrl.SetPriority(name, topo.Priority())
 	return nil
 }
@@ -186,7 +183,7 @@ func (l *Loop) arbitrate(t time.Duration) ([]RebalanceEvent, error) {
 		if !ok {
 			continue
 		}
-		claims = append(claims, claim{name: name, trigger: trigger, priority: l.priority[name]})
+		claims = append(claims, claim{name: name, trigger: trigger, priority: l.topos[name].Priority()})
 		l.journalRecord(t, trace.CodeTriggerFired, name, trigger)
 	}
 	if len(claims) == 0 {

@@ -49,7 +49,8 @@ const (
 	memHeadroom = 0.8
 )
 
-// ControllerConfig sets the two triggers that differ between scenarios.
+// ControllerConfig holds the two controller settings that differ between
+// scenarios.
 type ControllerConfig struct {
 	// MemHigh marks a topology memory-hot when any node hosting its live
 	// tasks has resident memory at or above this fraction of capacity —

@@ -33,21 +33,51 @@ func benchChainTopo(b testing.TB, par int, spoutCost, boltCost time.Duration, ma
 	return topo
 }
 
-// benchSim schedules topo on Emulab12 and runs the simulation past the
+// A placer places topo on c for benchSim.
+type placer func(tb testing.TB, topo *topology.Topology, c *cluster.Cluster) *core.Assignment
+
+// rstormPlaced schedules topo with R-Storm.
+func rstormPlaced(tb testing.TB, topo *topology.Topology, c *cluster.Cluster) *core.Assignment {
+	tb.Helper()
+	a, err := core.NewResourceAwareScheduler().Schedule(topo, c, core.NewGlobalState(c))
+	if err != nil {
+		tb.Fatalf("schedule: %v", err)
+	}
+	return a
+}
+
+// crossRackPlaced puts each spout task on its own rack-0 node and each
+// bolt task on its own rack-1 node, so with one lane per rack every tuple
+// a spout emits crosses lanes, and no tuple crosses back.
+func crossRackPlaced(tb testing.TB, topo *topology.Topology, c *cluster.Cluster) *core.Assignment {
+	tb.Helper()
+	racks := c.Racks()
+	spoutNodes, boltNodes := c.NodesInRack(racks[0]), c.NodesInRack(racks[1])
+	a := core.NewAssignment(topo.Name(), "cross-rack")
+	spouts, bolts := 0, 0
+	for _, task := range topo.Tasks() {
+		if topo.Component(task.Component).Kind == topology.KindSpout {
+			a.Place(task.ID, core.Placement{Node: spoutNodes[spouts]})
+			spouts++
+		} else {
+			a.Place(task.ID, core.Placement{Node: boltNodes[bolts]})
+			bolts++
+		}
+	}
+	return a
+}
+
+// benchSim places topo on Emulab12 and runs the simulation past the
 // warm-up point where the event/tuple/tree free lists have grown to the
 // steady population, so the measured region is the amortized-zero régime
 // the //rstorm:hotpath annotations claim.
-func benchSim(b testing.TB, topo *topology.Topology, cfg Config) (*Simulation, time.Duration) {
+func benchSim(b testing.TB, topo *topology.Topology, cfg Config, place placer) (*Simulation, time.Duration) {
 	b.Helper()
 	c, err := cluster.Emulab12()
 	if err != nil {
 		b.Fatalf("Emulab12: %v", err)
 	}
-	state := core.NewGlobalState(c)
-	a, err := core.NewResourceAwareScheduler().Schedule(topo, c, state)
-	if err != nil {
-		b.Fatalf("schedule: %v", err)
-	}
+	a := place(b, topo, c)
 	sim, err := New(c, cfg)
 	if err != nil {
 		b.Fatalf("New: %v", err)
@@ -86,10 +116,14 @@ func overloadConfig(tb testing.TB) (*topology.Topology, Config) {
 }
 
 // TestTuplePathAllocs enforces in go test what the benchmarks below
-// report: once warm, the one-lane tuple path and the window flushes
-// allocate nothing over 100 RunTo slices of 100 ms, ten flushes among
-// them. Per-tuple work would malloc hundreds of thousands of times, and
-// one allocation per flush ten times, which is above the allowance. The
+// report: once warm, the tuple path and the window flushes allocate
+// nothing over 100 RunTo slices of 100 ms, ten flushes among them. Each
+// chain runs on one lane, and again at Shards = 2 with every spout on
+// rack 0 and every bolt on rack 1, so each tuple crosses lanes one way and
+// the destination lane's free list must pay the source back. Per-tuple
+// work would malloc hundreds of thousands of times (an unpaid crossing
+// mallocs once per tuple: about 100,000 and 50,000 here), and one
+// allocation per flush ten times, which is above the allowance. The
 // allowance covers the runtime's own mallocs early in a test process (up
 // to 5 seen, in a few runs of 80): the simulation is deterministic, so an
 // allocation of its own would show in every run.
@@ -97,14 +131,20 @@ func TestTuplePathAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		config   func(testing.TB) (*topology.Topology, Config)
+		shards   int
+		place    placer
 		backedUp bool // bolt queues full with producers parked
 	}{
-		{"steady-state", steadyStateConfig, false},
-		{"overload", overloadConfig, true},
+		{"steady-state", steadyStateConfig, 0, rstormPlaced, false},
+		{"overload", overloadConfig, 0, rstormPlaced, true},
+		{"steady-state-cross-rack", steadyStateConfig, 2, crossRackPlaced, false},
+		{"overload-cross-rack", overloadConfig, 2, crossRackPlaced, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo, cfg := tc.config(t)
-			sim, now := benchSim(t, topo, cfg)
+			cfg.Shards = tc.shards
+			sim, now := benchSim(t, topo, cfg, tc.place)
+			defer sim.coord.Stop()
 			const slices, slice, allowance = 100, 100 * time.Millisecond, 8
 			// A collection first: the runtime's first cycle starts its mark
 			// workers, whose goroutines would count as mallocs.
@@ -143,7 +183,7 @@ func TestTuplePathAllocs(t *testing.T) {
 // pools and bounded queues underneath — for 100ms simulated slices.
 func BenchmarkTuplePathSteadyState(b *testing.B) {
 	topo, cfg := steadyStateConfig(b)
-	sim, now := benchSim(b, topo, cfg)
+	sim, now := benchSim(b, topo, cfg, rstormPlaced)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -159,7 +199,7 @@ func BenchmarkTuplePathSteadyState(b *testing.B) {
 // overflow branches (addWaiter, dropTuple → failTuple, tree failure).
 func BenchmarkTuplePathOverload(b *testing.B) {
 	topo, cfg := overloadConfig(b)
-	sim, now := benchSim(b, topo, cfg)
+	sim, now := benchSim(b, topo, cfg, rstormPlaced)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -178,7 +218,7 @@ func BenchmarkMemoryModelSteadyState(b *testing.B) {
 		Duration:      24 * time.Hour,
 		MetricsWindow: time.Second,
 		MemoryModel:   true,
-	})
+	}, rstormPlaced)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -196,7 +236,7 @@ func BenchmarkLatencyHistogramPath(b *testing.B) {
 		Duration:          24 * time.Hour,
 		MetricsWindow:     time.Second,
 		LatencyHistograms: true,
-	})
+	}, rstormPlaced)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,10 +9,13 @@ import (
 // and the recursive continuation chains (deliverSeq's next(i+1) closures)
 // made steady-state GC pressure proportional to delivered tuples. Event
 // records, tuples, and tuple trees are recycled on single-threaded free
-// lists owned by each lane, so after warm-up the event loop allocates
-// nothing. The lists are plain LIFO stacks — deterministic, no sync.Pool
-// nondeterminism — and recycling never affects simulation behaviour because
-// no logic depends on object identity.
+// lists owned by each lane. A tuple that crosses lanes is freed on its
+// destination lane, and the barrier merge pays its source lane back with
+// one of the destination's free tuples (drainInboxes), so after warm-up
+// the event loop allocates nothing at either partition, one-way cross-rack
+// flows included. The lists are plain LIFO stacks — deterministic, no
+// sync.Pool nondeterminism — and recycling never affects simulation
+// behaviour because no logic depends on object identity.
 
 // Event kinds dispatched by simEvent.Fire.
 const (

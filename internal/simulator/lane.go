@@ -46,9 +46,10 @@ type simLane struct {
 	// window; merged into Simulation.faultLog by (time, lane) at barriers.
 	faultBuf []FaultRecord
 
-	// Free lists (see events.go). LIFO stacks touched only by this lane.
-	// Tuples freed on a lane other than their birth lane simply join the
-	// local list: recycling never affects simulation behaviour.
+	// Free lists (see events.go). LIFO stacks touched only by this lane
+	// during a window. A tuple that crossed lanes is freed onto its
+	// destination's list, and drainInboxes, at the barrier, pays the
+	// sending lane back. Recycling never affects simulation behaviour.
 	eventPool []*simEvent
 	tuplePool []*tuple
 	treePool  []*tree
@@ -151,6 +152,14 @@ func (ln *simLane) applyAck(tr *tree, delta int, failed bool) {
 // index order, and each destination drains its sources in index order with
 // ring FIFO preserved, so equal-timestamp messages receive engine sequence
 // numbers in a fixed total order — independent of the worker count.
+//
+// A tuple that crosses lanes is paid for with a free one: the destination
+// hands a tuple from its free list back to the source, when it has one.
+// Once warm, each lane's tuple count (live plus free) then holds, so a
+// one-way flow — spouts on one rack, their consumers on another —
+// allocates nothing, where the source would otherwise allocate every
+// tuple it sends and the destination's free list grow without bound. No
+// logic depends on which tuple object is used.
 func (s *Simulation) drainInboxes() {
 	for _, dst := range s.lanes {
 		for _, src := range s.lanes {
@@ -164,6 +173,10 @@ func (s *Simulation) drainInboxes() {
 					ev.tup = m.tup
 					ev.comp = m.comp
 					dst.eng.ScheduleEventAt(m.at, ev)
+					if n := len(dst.tuplePool); n > 0 {
+						src.tuplePool = append(src.tuplePool, dst.tuplePool[n-1])
+						dst.tuplePool = dst.tuplePool[:n-1]
+					}
 				case msgComplete:
 					ev := dst.newEvent(evComplete)
 					ev.comp = m.comp

@@ -39,7 +39,6 @@ type Coordinator struct {
 	lanes  []Lane
 	starts []chan time.Duration // one per worker; nil in inline mode
 	done   chan struct{}
-	blocks [][]Lane // static lane→worker assignment
 }
 
 // NewCoordinator builds a coordinator over lanes with the given worker
@@ -56,8 +55,8 @@ func NewCoordinator(lanes []Lane, workers int) *Coordinator {
 	}
 	c.starts = make([]chan time.Duration, workers)
 	c.done = make(chan struct{}, workers)
-	c.blocks = make([][]Lane, workers)
-	// Contiguous blocks, remainder spread over the leading workers.
+	// Static lane→worker assignment: contiguous blocks, remainder spread
+	// over the leading workers.
 	per, extra := len(lanes)/workers, len(lanes)%workers
 	lo := 0
 	for w := 0; w < workers; w++ {
@@ -65,10 +64,9 @@ func NewCoordinator(lanes []Lane, workers int) *Coordinator {
 		if w < extra {
 			hi++
 		}
-		c.blocks[w] = lanes[lo:hi]
-		lo = hi
 		c.starts[w] = make(chan time.Duration, 1)
-		go c.work(w)
+		go work(c.starts[w], lanes[lo:hi], c.done)
+		lo = hi
 	}
 	return c
 }
@@ -115,12 +113,13 @@ func (c *Coordinator) Stop() {
 }
 
 // work is one persistent worker: advance the static lane block each
-// window, then report at the barrier.
-func (c *Coordinator) work(w int) {
-	block := c.blocks[w]
-	for h := range c.starts[w] {
+// window, then report at the barrier. It takes its channels and block as
+// arguments, never from the Coordinator, because Stop clears c.starts
+// and may run before the worker's first read.
+func work(start <-chan time.Duration, block []Lane, done chan<- struct{}) {
+	for h := range start {
 		advanceBlock(block, h)
-		c.done <- struct{}{}
+		done <- struct{}{}
 	}
 }
 

@@ -1,6 +1,7 @@
 package pardes
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -47,6 +48,28 @@ func TestCoordinatorAdvancesEveryLaneEachWindow(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCoordinatorStopBeforeAdvance stops coordinators before their first
+// window. Stop clears the coordinator's start channels, possibly before a
+// worker goroutine has first run, so a worker must not read them from the
+// coordinator; every worker must still exit.
+func TestCoordinatorStopBeforeAdvance(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		lanes := make([]Lane, 8)
+		for j := range lanes {
+			lanes[j] = &countingLane{}
+		}
+		NewCoordinator(lanes, 4).Stop()
+	}
+	for polls := 0; runtime.NumGoroutine() > base; polls++ {
+		if polls == 10000 {
+			t.Fatalf("%d goroutines 10 s after stopping every coordinator, want at most %d",
+				runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,11 +2,13 @@ package rstorm_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"rstorm"
 	"rstorm/internal/cluster"
+	"rstorm/internal/core"
 	"rstorm/internal/experiments"
 	"rstorm/internal/workloads"
 )
@@ -269,43 +271,79 @@ func BenchmarkSimulatorThroughputObservability(b *testing.B) {
 	benchSimulatorThroughputFull(b, false, false, true)
 }
 
+// rackStriped places task i on rack i mod R, node i div R of that rack,
+// so every rack hosts spouts, mids and sinks, and shuffled tuples cross
+// racks both ways.
+type rackStriped struct{}
+
+func (rackStriped) Name() string { return "rack-striped" }
+
+func (rackStriped) Schedule(topo *rstorm.Topology, c *rstorm.Cluster, _ *rstorm.GlobalState) (*rstorm.Assignment, error) {
+	racks := c.Racks()
+	a := core.NewAssignment(topo.Name(), rackStriped{}.Name())
+	for i, task := range topo.Tasks() {
+		nodes := c.NodesInRack(racks[i%len(racks)])
+		a.Place(task.ID, rstorm.Placement{Node: nodes[i/len(racks)]})
+	}
+	return a, nil
+}
+
 // BenchmarkSimulatorThroughputSharded runs a 400-node, 8-rack cluster
 // executing a 96-task pipeline with one lane spanning the cluster
-// (shards=0) and with one lane per rack (DESIGN.md §11) on 1 and 4
-// workers. tuples/s is the comparison metric; shards=1 measures the
-// per-rack partition's window and handoff overhead without any
-// parallelism. Results for shards>=1 are byte-identical at every worker
-// count, so those variants differ only in wall-clock.
+// (shards=0) and with one lane per rack (DESIGN.md §11) on 1 and 2
+// workers, under two placements. Even gives task i the first free slot of
+// node i, so the 96 tasks fill the first 96 nodes: rack-0 (32 s, 18 m)
+// and rack-1 (14 m, 32 z). Only those two racks' lanes carry events, and
+// every tuple that crosses racks goes from rack 0 to rack 1. Striped puts
+// task i on rack i mod 8, so all eight lanes carry events and tuples
+// cross every way.
+//
+// The two partitions are different models: at shards >= 1 a cross-rack
+// ack pays the inter-rack latency, so a simulated second holds fewer
+// tuples. ns/tuple (wall time per processed tuple) and allocs/tuple are
+// the comparison metrics across partitions; tuples/s mixes the model
+// difference into the speed. Results for shards >= 1 are byte-identical at
+// every worker count, so those variants differ only in wall time.
 func BenchmarkSimulatorThroughputSharded(b *testing.B) {
 	c, err := cluster.TwoRack(8, 50, cluster.EmulabNodeSpec())
 	if err != nil {
 		b.Fatal(err)
 	}
 	topo := benchEngineTopology(b, "shardbench", 32, false)
-	// Even gives task i the first free slot of node i, so the 96 tasks
-	// fill the first 96 nodes: rack-0 (32 s, 18 m) and rack-1 (14 m,
-	// 32 z). Only those two racks' lanes carry events, and pardes hands
-	// each worker a contiguous block of lanes, so at 4 workers or fewer
-	// both busy lanes share one worker (BENCHMARKS.md, "Sharded
-	// conservative-parallel kernel").
-	sched := rstorm.NewEvenScheduler()
-	for _, shards := range []int{0, 1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var processed int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := rstorm.SimConfig{Duration: 2 * time.Second,
-					MetricsWindow: time.Second, Shards: shards}
-				result, err := rstorm.ScheduleAndSimulate(c, cfg, sched, topo)
-				if err != nil {
-					b.Fatal(err)
-				}
-				processed += result.Topology("shardbench").TuplesProcessed
-			}
-			b.StopTimer()
-			if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-				b.ReportMetric(float64(processed)/elapsed, "tuples/s")
+	for _, pl := range []struct {
+		name  string
+		sched rstorm.Scheduler
+	}{
+		{"even", rstorm.NewEvenScheduler()},
+		{"striped", rackStriped{}},
+	} {
+		b.Run(pl.name, func(b *testing.B) {
+			for _, shards := range []int{0, 1, 2} {
+				b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+					b.ReportAllocs()
+					var processed int64
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						cfg := rstorm.SimConfig{Duration: 2 * time.Second,
+							MetricsWindow: time.Second, Shards: shards}
+						result, err := rstorm.ScheduleAndSimulate(c, cfg, pl.sched, topo)
+						if err != nil {
+							b.Fatal(err)
+						}
+						processed += result.Topology("shardbench").TuplesProcessed
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&after)
+					if processed == 0 {
+						b.Fatal("no tuple processed")
+					}
+					elapsed := b.Elapsed()
+					b.ReportMetric(float64(processed)/elapsed.Seconds(), "tuples/s")
+					b.ReportMetric(float64(elapsed.Nanoseconds())/float64(processed), "ns/tuple")
+					b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(processed), "allocs/tuple")
+				})
 			}
 		})
 	}

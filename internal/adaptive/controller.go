@@ -104,8 +104,8 @@ type topoState struct {
 // simulator.Observer by chaining through its Profiler.
 //
 // The simulation feeding OnWindow is single-threaded, but controller
-// state is also read from other goroutines (the StatisticServer's
-// /adaptive route), so all state access is mutex-guarded.
+// state may be read from other goroutines (Status is operator tooling),
+// so all state access is mutex-guarded.
 type Controller struct {
 	mu       sync.Mutex
 	cfg      ControllerConfig
@@ -399,8 +399,8 @@ type TopologyStatus struct {
 	InterNodeFraction float64     `json:"interNodeFraction"`
 }
 
-// ControllerStatus is the JSON-friendly snapshot served by the
-// StatisticServer's /adaptive route.
+// ControllerStatus is the controller's JSON-friendly snapshot for
+// operator tooling.
 type ControllerStatus struct {
 	Windows    int              `json:"windows"`
 	HighUtil   float64          `json:"highUtil"`
@@ -413,7 +413,7 @@ type ControllerStatus struct {
 }
 
 // Status snapshots the controller for operator tooling. Safe to call from
-// other goroutines (the StatisticServer's /adaptive route).
+// other goroutines.
 func (c *Controller) Status() ControllerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rstorm/internal/cluster"
 	"rstorm/internal/simulator"
 )
 
@@ -93,6 +94,53 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if ts.LastAction == "" {
 		t.Error("LastAction empty")
+	}
+}
+
+// TestStatusMemoryAndTraffic: the status snapshot carries the runtime
+// memory model's measurements and thresholds and the measured traffic
+// state.
+func TestStatusMemoryAndTraffic(t *testing.T) {
+	ctrl := newTestController()
+	ctrl.OnWindow([]simulator.TaskSample{{
+		Topology: "served", Component: "s", Node: cluster.NodeID("n0"),
+		WindowEnd: 1e9, Slowdown: 1, NodeCPUCapacity: 100,
+		ResidentMemMB: 1900, NodeMemCapacityMB: 2048,
+		Edges: []simulator.EdgeRate{
+			{DestTaskID: 1, DestComponent: "z", Tuples: 600, Remote: true},
+			{DestTaskID: 2, DestComponent: "z", Tuples: 400},
+		},
+	}})
+	status := ctrl.Status()
+	if status.Windows != 1 || len(status.Topologies) != 1 {
+		t.Fatalf("status = %+v", status)
+	}
+	if status.Topologies[0].Name != "served" {
+		t.Errorf("topology = %+v", status.Topologies[0])
+	}
+	if status.MemHigh <= 0 {
+		t.Errorf("memHigh = %v, want the controller default surfaced", status.MemHigh)
+	}
+	comps := status.Topologies[0].Components
+	if len(comps) != 1 || comps[0].MemResidentMB != 1900 {
+		t.Errorf("measured memory not reported: %+v", comps)
+	}
+	// 1900/2048 is past the default MemHigh: the streak must be visible.
+	if status.Topologies[0].MemStreak != 1 {
+		t.Errorf("memStreak = %d, want 1", status.Topologies[0].MemStreak)
+	}
+	// The measured traffic state: the component-pair edge rate (both task
+	// edges fold into one s->z pair) and the inter-node fraction of the
+	// counted deliveries.
+	traffic := status.Topologies[0].Traffic
+	if len(traffic) != 1 || traffic[0].From != "s" || traffic[0].To != "z" {
+		t.Fatalf("traffic = %+v, want one s->z edge", traffic)
+	}
+	if traffic[0].RatePerSec != 1000 || traffic[0].Tuples != 1000 || traffic[0].RemoteTuples != 600 {
+		t.Errorf("traffic edge = %+v, want 1000/s, 1000 tuples, 600 remote", traffic[0])
+	}
+	if got := status.Topologies[0].InterNodeFraction; got != 0.6 {
+		t.Errorf("interNodeFraction = %v, want 0.6", got)
 	}
 }
 

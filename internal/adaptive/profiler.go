@@ -127,7 +127,7 @@ func (e EdgeStats) InterNodeFraction() float64 {
 }
 
 // edgesInterNodeFraction aggregates a topology's edges into its overall
-// inter-node tuple fraction — the /adaptive counterpart of
+// inter-node tuple fraction — the ControllerStatus counterpart of
 // TopologyResult.InterNodeFraction, computed from the profiler's view.
 func edgesInterNodeFraction(edges []EdgeStats) float64 {
 	var sent, remote int64
@@ -143,8 +143,8 @@ func edgesInterNodeFraction(edges []EdgeStats) float64 {
 
 // Profiler folds per-window task samples into per-component demand
 // estimates. It implements simulator.Observer; the simulation feeding
-// OnWindow is single-threaded, but estimates are also read from other
-// goroutines (the StatisticServer's /adaptive route), so state access is
+// OnWindow is single-threaded, but estimates may be read from other
+// goroutines (Controller.Status is operator tooling), so state access is
 // mutex-guarded.
 type Profiler struct {
 	mu      sync.Mutex
@@ -431,7 +431,7 @@ func (p *Profiler) OnWindow(samples []simulator.TaskSample) {
 	// carry death-window traffic): like the component decay below, the
 	// rate snaps to zero instead of freezing at its last — possibly hot —
 	// value, so a dead component's edges stop pulling traffic plans and
-	// stop reading as live flow on /adaptive. Cumulative totals are
+	// stop reading as live flow in ControllerStatus. Cumulative totals are
 	// history and stay.
 	for _, ek := range p.edgeOrder {
 		if _, live := eaccs[ek]; live {
@@ -565,8 +565,8 @@ func (p *Profiler) Stats(topo string) []ComponentStats {
 }
 
 // EdgeStats returns the named topology's component-pair traffic estimates
-// in first-seen order — the measured edge-rate matrix served by /adaptive
-// and rendered by rstorm-sim -traffic.
+// in first-seen order — the measured edge-rate matrix ControllerStatus
+// carries and rstorm-sim -traffic renders.
 func (p *Profiler) EdgeStats(topo string) []EdgeStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -1,8 +1,7 @@
 // Package analysis is rstorm-lint: a suite of static analyzers that turn
 // the repository's headline invariants — seeded determinism, zero-alloc
-// hot paths, journal-code exhaustiveness, uniform StatisticServer route
-// discipline, run-owned state, no orphan internal packages — into
-// compile-time checked facts (DESIGN.md §9).
+// hot paths, journal-code exhaustiveness, run-owned state, no orphan
+// internal packages — into compile-time checked facts (DESIGN.md §9).
 //
 // The golden-diff harness and the allocation benchmarks enforce these
 // invariants dynamically, but only over the paths a run happens to
@@ -26,7 +25,6 @@
 //	//rstorm:unordered-ok reason   map-iteration finding accepted
 //	//rstorm:wallclock-ok reason   time.Now / global rand accepted
 //	//rstorm:alloc-ok reason       hot-path allocation accepted
-//	//rstorm:route-ok reason       route-discipline finding accepted
 //	//rstorm:global-ok reason      package-level var accepted
 //
 // A suppression with no reason is itself a diagnostic.
@@ -266,11 +264,10 @@ var analyzerCategories = map[string][]string{
 	"determinism": {"unordered-ok", "wallclock-ok"},
 	"hotpath":     {"alloc-ok"},
 	"journal":     {"journal-ok"},
-	"statserver":  {"route-ok"},
 	"globalvar":   {"global-ok"},
 }
 
-// Suite returns fresh instances of all six analyzers, configured for this
+// Suite returns fresh instances of all five analyzers, configured for this
 // repository. Instances carry per-run state (the journal and orphan
 // analyzers accumulate cross-package usage), so each invocation needs its
 // own.
@@ -279,7 +276,6 @@ func Suite() []*Analyzer {
 		NewDeterminism(determinismScope),
 		NewHotpath(),
 		NewJournal(journalCodePkg),
-		NewStatserver(),
 		NewGlobalvar(globalvarScope),
 		NewOrphan(),
 	}

@@ -1,13 +1,11 @@
 package nimbus
 
 import (
-	"fmt"
 	"sort"
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/core"
 	"rstorm/internal/resource"
-	"rstorm/internal/trace"
 )
 
 // The heartbeat failure detector is Nimbus's only failure path. It
@@ -126,9 +124,9 @@ type NodeHealthStatus struct {
 	LastSeq int64  `json:"lastSeq"`
 }
 
-// DetectorStatus is the snapshot served by the StatisticServer's /faults
-// route. Enabled is always true: the detector is always on, and the field
-// stays for the route's readers.
+// DetectorStatus is the failure detector's JSON-friendly snapshot for
+// operator tooling. Enabled is always true: the detector is always on,
+// and the field stays so the snapshot's JSON keeps its shape.
 type DetectorStatus struct {
 	Enabled      bool               `json:"enabled"`
 	SuspectAfter int                `json:"suspectAfter,omitempty"`
@@ -243,7 +241,6 @@ func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 				h.missed = 0
 				h.healthy = 0
 				newlyDead = append(newlyDead, id)
-				n.journalRecord(trace.CodeNodeDead, "", string(id), "session-expired")
 			}
 		case h.state == HealthDead || h.state == HealthRecovering:
 			if seq != h.lastSeq {
@@ -273,13 +270,7 @@ func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 					h.state = HealthDead
 					h.healthy = 0
 					newlyDead = append(newlyDead, id)
-					n.journalRecord(trace.CodeNodeDead, "", string(id),
-						fmt.Sprintf("missed=%d", h.missed))
 				} else if h.missed >= d.cfg.SuspectAfter {
-					if h.state != HealthSuspect {
-						n.journalRecord(trace.CodeNodeSuspect, "", string(id),
-							fmt.Sprintf("missed=%d", h.missed))
-					}
 					h.state = HealthSuspect
 				}
 			}
@@ -292,8 +283,6 @@ func (n *Nimbus) HeartbeatTick() []cluster.NodeID {
 		_ = n.state.RestoreNode(id)
 		n.logf("node %s passed flap damping (%d fresh beats); capacity restored",
 			id, d.cfg.FlapDamping)
-		n.journalRecord(trace.CodeNodeRejoin, "", string(id),
-			fmt.Sprintf("beats=%d", d.cfg.FlapDamping))
 	}
 	return newlyDead
 }
@@ -349,8 +338,6 @@ func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
 				Node: string(id), Topology: name, Requeued: true, Tick: d.ticks,
 			})
 			n.logf("failover of %q off %s infeasible; requeued for full reschedule", name, id)
-			n.journalRecord(trace.CodeFailoverRound, name, string(id),
-				fmt.Sprintf("tick=%d requeued", d.ticks))
 		}
 		if !isRAS {
 			// Resource-blind schedulers have no incremental pass: full
@@ -388,8 +375,6 @@ func (n *Nimbus) failoverNodeLocked(id cluster.NodeID) {
 			Node: string(id), Topology: name, Moves: len(moves), Tick: d.ticks,
 		})
 		n.logf("failover of %q: restarted %d tasks off %s", name, len(moves), id)
-		n.journalRecord(trace.CodeFailoverRound, name, string(id),
-			fmt.Sprintf("tick=%d moves=%d", d.ticks, len(moves)))
 	}
 }
 

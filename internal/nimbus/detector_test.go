@@ -1,8 +1,6 @@
 package nimbus
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +9,6 @@ import (
 	"rstorm/internal/core"
 	"rstorm/internal/resource"
 	"rstorm/internal/topology"
-	"rstorm/internal/trace"
 )
 
 // beatExcept heartbeats every supervisor except the listed victims.
@@ -330,22 +327,16 @@ func TestRecoveryStallReturnsNodeToDead(t *testing.T) {
 	}
 }
 
-// supervisorsGauge reads rstorm_supervisors_alive from /metrics.
-func supervisorsGauge(t *testing.T, n *Nimbus) float64 {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	NewStatisticServer(n).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	families, err := trace.ParseExposition(rec.Body)
-	if err != nil {
-		t.Fatalf("parse /metrics: %v", err)
-	}
-	for _, f := range families {
-		if f.Name == "rstorm_supervisors_alive" {
-			return f.Samples[0].Value
+// supervisorsGauge counts the supervisors the detector trusts: the
+// healthy and suspect nodes of DetectorStatus.
+func supervisorsGauge(n *Nimbus) int {
+	alive := 0
+	for _, ns := range n.DetectorStatus().Nodes {
+		if ns.State == "healthy" || ns.State == "suspect" {
+			alive++
 		}
 	}
-	t.Fatal("no rstorm_supervisors_alive family")
-	return 0
+	return alive
 }
 
 // TestRedeathDuringFlapDampingAllowsRejoin: a rejoined node that stalls
@@ -369,7 +360,7 @@ func TestRedeathDuringFlapDampingAllowsRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
-	if got := supervisorsGauge(t, n); got != 11 {
+	if got := supervisorsGauge(n); got != 11 {
 		t.Fatalf("gauge while held down = %v, want 11", got)
 	}
 	beatExcept(t, sups, victim)
@@ -379,7 +370,7 @@ func TestRedeathDuringFlapDampingAllowsRejoin(t *testing.T) {
 	if got := nodeState(t, n, victim).State; got != "dead" {
 		t.Fatalf("after stall: state = %s, want dead", got)
 	}
-	if got := supervisorsGauge(t, n); got != 11 {
+	if got := supervisorsGauge(n); got != 11 {
 		t.Fatalf("gauge with the node dead = %v, want 11", got)
 	}
 	if err := sv.Fail(); err != nil {
@@ -405,8 +396,6 @@ func TestRefusedRejoinChangesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	j := trace.NewJournal(0)
-	n.SetJournal(j)
 	sups := startAll(t, n, c)
 	if err := n.SubmitTopology(testTopo(t, "wordcount", 4)); err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -438,9 +427,6 @@ func TestRefusedRejoinChangesNothing(t *testing.T) {
 	beatExcept(t, sups, victim)
 	if dead := n.HeartbeatTick(); len(dead) != 0 {
 		t.Fatalf("old session's expiry declared %v dead again", dead)
-	}
-	if got := journalCodes(j, trace.CodeNodeDead); len(got) != 1 {
-		t.Fatalf("node-dead records = %+v, want 1", got)
 	}
 	if len(n.Failovers()) != 1 {
 		t.Fatalf("failovers = %v, want 1", n.Failovers())
@@ -526,13 +512,9 @@ func TestFaultsRouteServesDetectorStatus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	srv := NewStatisticServer(n)
-
 	// The detector is on before any supervisor joins.
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/faults", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/faults before any supervisor = %d, want 200", rec.Code)
+	if status := n.DetectorStatus(); !status.Enabled || len(status.Nodes) != 0 {
+		t.Fatalf("status before any supervisor = %+v, want enabled and empty", status)
 	}
 
 	sups := startAll(t, n, c)
@@ -548,15 +530,7 @@ func TestFaultsRouteServesDetectorStatus(t *testing.T) {
 	}
 	n.HeartbeatTick()
 
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/faults", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/faults = %d, want 200", rec.Code)
-	}
-	var status DetectorStatus
-	if err := json.Unmarshal(rec.Body.Bytes(), &status); err != nil {
-		t.Fatalf("decode /faults: %v", err)
-	}
+	status := n.DetectorStatus()
 	if !status.Enabled || status.SuspectAfter != 2 || status.DeadAfter != 4 || status.FlapDamping != 3 {
 		t.Fatalf("status = %+v, want defaults reported", status)
 	}
@@ -584,8 +558,6 @@ func TestDetectorConcurrentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	j := trace.NewJournal(0)
-	n.SetJournal(j)
 	ids := c.NodeIDs()
 	sups := make(map[cluster.NodeID]*Supervisor)
 	for _, id := range ids[:6] {
@@ -640,9 +612,12 @@ func TestDetectorConcurrentAccess(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	for _, e := range journalCodes(j, trace.CodeNodeDead) {
-		if e.Detail == "session-expired" {
-			t.Errorf("%s declared dead by session expiry, but no session expired", e.Node)
+	// A session-expiry death sets Missed to 0 and a death from missed
+	// beats leaves it at DeadAfter; nothing changes a dead or recovering
+	// node's Missed afterwards.
+	for _, ns := range n.DetectorStatus().Nodes {
+		if (ns.State == "dead" || ns.State == "recovering") && ns.Missed == 0 {
+			t.Errorf("%s declared dead by session expiry, but no session expired: %+v", ns.Node, ns)
 		}
 	}
 }

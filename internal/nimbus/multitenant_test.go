@@ -1,8 +1,6 @@
 package nimbus
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -195,18 +193,9 @@ func TestStatServerServesPriorityAndEvictions(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.RunSchedulingRound()
-	srv := NewStatisticServer(n)
 
-	// /summary: per-topology priority plus the eviction history.
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/summary", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/summary status %d", rec.Code)
-	}
-	var sum ClusterSummary
-	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
-		t.Fatalf("decode summary: %v", err)
-	}
+	// Summary: per-topology priority plus the eviction history.
+	sum := n.Summary()
 	var prodSeen bool
 	for _, ts := range sum.Topologies {
 		if ts.Name == "prod" {
@@ -223,32 +212,19 @@ func TestStatServerServesPriorityAndEvictions(t *testing.T) {
 		t.Error("summary carries no eviction history")
 	}
 
-	// /evictions: the dedicated history route round-trips.
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/evictions", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/evictions status %d", rec.Code)
-	}
-	var evs []EvictionEvent
-	if err := json.Unmarshal(rec.Body.Bytes(), &evs); err != nil {
-		t.Fatalf("decode evictions: %v", err)
-	}
-	if len(evs) != len(n.Evictions()) {
-		t.Errorf("/evictions served %d events, master has %d", len(evs), len(n.Evictions()))
+	// Evictions: every entry is attributed to the admitted tenant.
+	evs := n.Evictions()
+	if len(evs) != len(sum.Evictions) {
+		t.Errorf("Evictions returned %d events, the summary %d", len(evs), len(sum.Evictions))
 	}
 	for _, e := range evs {
 		if e.For != "prod" {
 			t.Errorf("eviction %+v not attributed to prod", e)
 		}
 	}
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/evictions", nil))
-	if rec.Code != 405 {
-		t.Errorf("POST /evictions status %d, want 405", rec.Code)
-	}
 }
 
-// TestRoundLogsInterleaveInConsiderationOrder pins /events parity with
+// TestRoundLogsInterleaveInConsiderationOrder pins Events() parity with
 // the FIFO round the cluster pass replaced: with every priority zero, a
 // round over [fits, infeasible, fits] logs scheduled/failed lines in
 // submission order, not grouped by outcome.

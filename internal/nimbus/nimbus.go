@@ -14,7 +14,6 @@ import (
 	"rstorm/internal/core"
 	"rstorm/internal/statestore"
 	"rstorm/internal/topology"
-	"rstorm/internal/trace"
 )
 
 // State-store layout.
@@ -62,14 +61,6 @@ type Nimbus struct {
 	// detector is the heartbeat failure detector (detector.go), the
 	// master's only view of supervisor liveness.
 	detector *detector
-
-	// journal is the shared decision journal (nil until SetJournal). The
-	// master has no virtual clock, so its events carry At 0 — the
-	// journal's sequence number is their causal order. evictedSet tracks
-	// evicted-and-still-pending tenants so their eventual re-admission is
-	// journaled as such.
-	journal    *trace.Journal
-	evictedSet map[string]bool
 }
 
 // New returns a Nimbus over the cluster using the given scheduler. Nodes
@@ -99,33 +90,6 @@ func New(c *cluster.Cluster, sched core.Scheduler) (*Nimbus, error) {
 			nodes: make(map[cluster.NodeID]*nodeHealth),
 		},
 	}, nil
-}
-
-// SetJournal attaches a decision journal: scheduling rounds, evictions,
-// re-admissions, node health transitions, and failover repairs are
-// recorded as reason-coded trace.Events alongside the human-readable
-// Events() log. Pass the same journal to the simulator and adaptive loop
-// to get one causally-ordered stream across all three layers. Nil
-// detaches. Safe to call at any time.
-func (n *Nimbus) SetJournal(j *trace.Journal) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.journal = j
-}
-
-// Journal returns the attached decision journal, or nil.
-func (n *Nimbus) Journal() *trace.Journal {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.journal
-}
-
-// journalRecord appends one master event to the attached journal (no-op
-// without one). Caller holds n.mu.
-func (n *Nimbus) journalRecord(code, topo, node, detail string) {
-	if n.journal != nil {
-		n.journal.Record(0, code, topo, node, -1, detail)
-	}
 }
 
 // Store exposes the coordination store (for supervisors and tests).
@@ -214,7 +178,6 @@ func (n *Nimbus) KillTopology(name string) error {
 	delete(n.topologies, name)
 	delete(n.priorities, name)
 	delete(n.seqs, name)
-	delete(n.evictedSet, name)
 	n.dropPendingLocked(name)
 	_ = n.store.Delete(assignmentsPath + "/" + name)
 	_ = n.store.Delete(topologiesPath + "/" + name)
@@ -303,12 +266,6 @@ func (n *Nimbus) RunSchedulingRound() []string {
 			Round:       round,
 		})
 		requeued = append(requeued, e.Victim)
-		if n.evictedSet == nil {
-			n.evictedSet = make(map[string]bool)
-		}
-		n.evictedSet[e.Victim] = true
-		n.journalRecord(trace.CodeEviction, e.Victim, "",
-			fmt.Sprintf("priority=%d for=%s round=%d", e.Priority, e.For, round))
 	}
 	// Log per-tenant outcomes in the pass's consideration order — with
 	// every priority zero this interleaves scheduled and failed lines
@@ -332,11 +289,6 @@ func (n *Nimbus) RunSchedulingRound() []string {
 			}
 			n.persistAssignment(name, a)
 			n.logf("scheduled %q on %d nodes via %s", name, len(a.NodesUsed()), a.Scheduler)
-			if n.evictedSet[name] {
-				delete(n.evictedSet, name)
-				n.journalRecord(trace.CodeReadmission, name, "",
-					fmt.Sprintf("round=%d", round))
-			}
 			continue
 		}
 		n.logf("scheduling %q failed: %v", name, res.Failed[name])
@@ -355,10 +307,6 @@ func (n *Nimbus) RunSchedulingRound() []string {
 		}
 	}
 	n.pending = append(still, requeued...)
-	n.journalRecord(trace.CodeSchedulingRound, "", "",
-		fmt.Sprintf("round=%d scheduled=%d failed=%d evicted=%d pending=%d",
-			round, len(res.ScheduledOrder), len(res.FailedOrder),
-			len(res.Evicted), len(n.pending)))
 	return res.ScheduledOrder
 }
 

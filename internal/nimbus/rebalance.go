@@ -23,8 +23,8 @@ func (n *Nimbus) RebalanceTopology(name string) error {
 	return nil
 }
 
-// ClusterSummary is a point-in-time view of scheduling state, served by
-// the StatisticServer and useful for operator tooling.
+// ClusterSummary is a point-in-time view of scheduling state for
+// operator tooling.
 type ClusterSummary struct {
 	AliveSupervisors int                 `json:"aliveSupervisors"`
 	Topologies       []TopologySummary   `json:"topologies"`

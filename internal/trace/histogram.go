@@ -1,11 +1,10 @@
 // Package trace is the unified observability layer (DESIGN.md §8): fixed
 // log-bucketed latency histograms cheap enough for the simulator's tuple
-// hot path, deterministic sampled tuple tracing with per-hop spans, a
-// causally-ordered decision journal unifying the control planes' event
-// streams, and a hand-rolled Prometheus text-format exposition with a
-// round-trip lint parser. Everything here is opt-in from the callers'
-// side: the simulator, adaptive loop, and Nimbus behave byte-identically
-// when no histogram, tracer, or journal is attached.
+// hot path, deterministic sampled tuple tracing with per-hop spans, and a
+// causally-ordered decision journal unifying the simulator's and the
+// adaptive loop's event streams. Everything here is opt-in from the
+// callers' side: the simulator and the adaptive loop behave
+// byte-identically when no histogram, tracer, or journal is attached.
 package trace
 
 import (
@@ -150,17 +149,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Reset clears the histogram for the next window.
 func (h *Histogram) Reset() { *h = Histogram{} }
-
-// EachBucket calls fn for every non-empty bucket in ascending value order
-// with the bucket's inclusive upper bound and count — the iteration a
-// Prometheus histogram exposition needs to build cumulative le buckets.
-func (h *Histogram) EachBucket(fn func(upper time.Duration, count int64)) {
-	for i := 0; i < numBuckets; i++ {
-		if h.buckets[i] > 0 {
-			fn(time.Duration(bucketUpper(i)), h.buckets[i])
-		}
-	}
-}
 
 // Summary is a histogram's value-typed digest: safe to copy into a
 // TaskSample whose backing histogram is about to be reset.

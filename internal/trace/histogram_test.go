@@ -142,25 +142,6 @@ func TestHistogramMergeAndReset(t *testing.T) {
 	}
 }
 
-func TestHistogramEachBucketCumulative(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 1000; i++ {
-		h.Observe(time.Duration(i) * 10 * time.Microsecond)
-	}
-	var total int64
-	prevUpper := time.Duration(-1)
-	h.EachBucket(func(upper time.Duration, count int64) {
-		if upper <= prevUpper {
-			t.Fatalf("EachBucket uppers not ascending: %v after %v", upper, prevUpper)
-		}
-		prevUpper = upper
-		total += count
-	})
-	if total != h.Count() {
-		t.Fatalf("EachBucket total %d != count %d", total, h.Count())
-	}
-}
-
 func TestHistogramSummarize(t *testing.T) {
 	h := NewHistogram()
 	for i := 1; i <= 1000; i++ {

@@ -7,36 +7,26 @@ import (
 	"time"
 )
 
-// Journal event codes — the unified decision-event taxonomy (DESIGN.md
-// §8.3). One flat stream replaces the per-feature event lists that PRs
-// 2-6 accumulated (RebalanceEvent, FailoverEvents, eviction history,
-// fault log): every control-plane decision lands here with a reason code
-// and enough identity (topology/node/task) to correlate across layers.
+// Journal event codes — the decision-event taxonomy (DESIGN.md §8): every
+// runtime decision of the simulator and the adaptive loop lands here with
+// a reason code and enough identity (topology/node/task) to correlate
+// across the two layers.
 const (
 	// Adaptive loop.
 	CodeTriggerFired     = "trigger-fired"     // controller demanded a rebalance
 	CodePlanComputed     = "plan-computed"     // incremental plan built (detail: moves)
 	CodeRebalanceApplied = "rebalance-applied" // plan applied to the running simulator
-	// Cluster arbitration (Nimbus).
-	CodeEviction        = "eviction"         // topology evicted for a higher priority
-	CodeReadmission     = "readmission"      // evicted topology re-admitted
-	CodeSchedulingRound = "scheduling-round" // cluster arbitration round completed
 	// Simulator runtime.
 	CodeTopologySubmitted = "topology-submitted" // runtime submit epoch
 	CodeTopologyKilled    = "topology-killed"    // runtime kill epoch
 	CodeOOMKill           = "oom-kill"           // memory model killed a task
 	CodeFaultInjected     = "fault-injected"     // crash/recover/slow applied mid-run
-	// Failure detection (Nimbus heartbeat detector).
-	CodeNodeSuspect   = "node-suspect"   // missed-heartbeat threshold crossed
-	CodeNodeDead      = "node-dead"      // declared dead, failover eligible
-	CodeFailoverRound = "failover-round" // forced re-placement of dead tasks
-	CodeNodeRejoin    = "node-rejoin"    // node heartbeating again after hold-down
 )
 
-// Event is one journal entry. Seq is a journal-assigned monotonic
-// sequence number providing total causal order even for control-plane
-// events recorded outside simulated time (At = 0 for those). Task is -1
-// when the event is not about a specific task.
+// Event is one journal entry. At is the simulated time of the decision;
+// Seq is a journal-assigned monotonic sequence number, the total causal
+// order, which also orders events recorded at the same instant. Task is
+// -1 when the event is not about a specific task.
 type Event struct {
 	Seq      uint64        `json:"seq"`
 	At       time.Duration `json:"at"`
@@ -48,9 +38,9 @@ type Event struct {
 }
 
 // Journal is a bounded, concurrency-safe decision-event ring. Appends
-// from the simulator event loop, the adaptive loop, and Nimbus handlers
-// interleave under one mutex, so Seq defines a single causal order
-// across all three. When full, the oldest events are overwritten.
+// from the simulator event loop and the adaptive loop interleave under
+// one mutex, so Seq defines a single causal order across both. When
+// full, the oldest events are overwritten.
 type Journal struct {
 	mu      sync.Mutex
 	max     int
@@ -118,8 +108,7 @@ func (j *Journal) Events() []Event {
 }
 
 // WriteJSONL writes the retained events as JSON Lines, one event per
-// line in causal order — the /journal route body and the -journal CLI
-// section.
+// line in causal order — rstorm-sim's -journal section.
 func (j *Journal) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, e := range j.Events() {

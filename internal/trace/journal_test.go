@@ -60,8 +60,8 @@ func TestJournalDefaultCap(t *testing.T) {
 
 func TestJournalWriteJSONL(t *testing.T) {
 	j := NewJournal(8)
-	j.Record(500*time.Millisecond, CodeEviction, "lowpri", "", -1, "victim of highpri")
-	j.Record(0, CodeFailoverRound, "", "node-3", -1, "moved=4")
+	j.Record(500*time.Millisecond, CodeOOMKill, "lowpri", "node-3", 4, "resident=2100MB")
+	j.Record(0, CodeFaultInjected, "", "node-3", -1, "crash")
 	var b strings.Builder
 	if err := j.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestJournalWriteJSONL(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("lines = %d", len(lines))
 	}
-	if lines[0].Code != CodeEviction || lines[0].At != 500*time.Millisecond {
+	if lines[0].Code != CodeOOMKill || lines[0].At != 500*time.Millisecond || lines[0].Task != 4 {
 		t.Fatalf("round-trip lost fields: %+v", lines[0])
 	}
 	if lines[1].Seq != 2 {
@@ -87,8 +87,7 @@ func TestJournalWriteJSONL(t *testing.T) {
 }
 
 // TestJournalConcurrentAppend drives appends from many goroutines while
-// readers snapshot — run under -race by the CI race job alongside the
-// /metrics scrape test in nimbus.
+// readers snapshot — run under -race by the CI race job.
 func TestJournalConcurrentAppend(t *testing.T) {
 	j := NewJournal(256)
 	var wg sync.WaitGroup

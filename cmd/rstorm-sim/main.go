@@ -52,7 +52,9 @@
 // isolated simulator instance; -duration, -window and -seed supply the
 // defaults for knobs the spec leaves unset. Output is merged in matrix
 // order and is byte-identical for any worker count. -matrix composes
-// with no other mode flag.
+// with no other mode flag: a matrix run reads only -workers, -shards,
+// -duration, -window, -seed and -percentiles, and refuses any other flag
+// that was set, by name.
 //
 // -shards N chooses the event loop's lane partition (DESIGN.md §11): 0
 // (the default) runs one lane spanning the cluster on one worker, the
@@ -146,13 +148,26 @@ func run(w io.Writer, args []string) error {
 	if *shards < 0 {
 		return fmt.Errorf("-shards %d is negative", *shards)
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d is negative", *workers)
+	}
 	if *shards > 0 && (*traceEvery > 0 || *journalOn) {
 		return fmt.Errorf("-trace and -journal require the single-threaded kernel (-shards 0)")
 	}
 	if *matrixSpec != "" {
-		if *topoPath != "" || *adaptiveOn || *failSpec != "" ||
-			*traceEvery > 0 || *journalOn || *memoryOn || *trafficOn || *replayOn {
-			return fmt.Errorf("-matrix runs registered experiments and composes with no other mode flag")
+		// Refuse, by name, the first set flag a matrix run does not read.
+		var stray string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "matrix", "workers", "shards", "duration", "window", "seed", "percentiles":
+			default:
+				if stray == "" {
+					stray = f.Name
+				}
+			}
+		})
+		if stray != "" {
+			return fmt.Errorf("-%s: -matrix runs registered experiments and composes with no other mode flag", stray)
 		}
 		return runMatrix(w, *matrixSpec, *workers, experiments.Options{
 			Duration:      *duration,
@@ -164,6 +179,9 @@ func run(w io.Writer, args []string) error {
 	}
 	if *workers != 0 {
 		return fmt.Errorf("-workers only applies to -matrix runs")
+	}
+	if *ctrlIvl != 0 && !*adaptiveOn {
+		return fmt.Errorf("-control-interval only applies to -adaptive runs")
 	}
 
 	c, err := loadCluster(*clusterPath)
@@ -490,8 +508,8 @@ func printTraces(w io.Writer, tracer *trace.Tracer) {
 	}
 }
 
-// printJournal dumps the decision journal as JSONL — the same exposition
-// the StatisticServer's /journal route serves.
+// printJournal dumps the decision journal as JSONL, one event per line in
+// causal order.
 func printJournal(w io.Writer, journal *trace.Journal) {
 	fmt.Fprintf(w, "\ndecision journal (%d events, JSONL):\n", journal.Len())
 	_ = journal.WriteJSONL(w)

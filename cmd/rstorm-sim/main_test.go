@@ -375,9 +375,10 @@ func TestRunMatrixMode(t *testing.T) {
 
 // TestRunMatrixRejectsBadSpecs: the matrix flag surface fails cleanly on
 // grammar errors, oversized matrices, unknown experiments, flag
-// composition, and stray -workers; and every mode refuses, naming the
-// flag, a duration, window or control interval it would otherwise
-// silently replace.
+// composition (naming the first set flag a matrix run does not read),
+// and stray or negative -workers; every mode refuses, naming the flag, a
+// duration, window or control interval it would otherwise silently
+// replace; and -control-interval needs -adaptive.
 func TestRunMatrixRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -394,6 +395,16 @@ func TestRunMatrixRejectsBadSpecs(t *testing.T) {
 		{[]string{"-window", "0", "-duration", "2s"}, "-window 0s is not positive"},
 		{[]string{"-matrix", "fig9b", "-window", "-2s"}, "-window -2s is not positive"},
 		{[]string{"-adaptive", "-control-interval", "-1s", "-duration", "2s"}, "-control-interval -1s is negative"},
+		{[]string{"-matrix", "fig9b", "-adaptive"}, "-adaptive: -matrix runs"},
+		{[]string{"-matrix", "fig8a", "-cluster", "/nonexistent", "-scheduler", "bogus", "-assignment",
+			"-control-interval", "3s", "-duration", "20s", "-window", "2s"}, "-assignment: -matrix runs"},
+		{[]string{"-matrix", "fig9b", "-cluster", "c.yaml"}, "-cluster: -matrix runs"},
+		{[]string{"-matrix", "fig9b", "-scheduler", "default-even"}, "-scheduler: -matrix runs"},
+		{[]string{"-matrix", "fig9b", "-control-interval", "3s"}, "-control-interval: -matrix runs"},
+		{[]string{"-matrix", "fig9b", "-replay=false"}, "-replay: -matrix runs"},
+		{[]string{"-control-interval", "5s", "-duration", "2s", "-window", "1s"}, "-control-interval only applies to -adaptive"},
+		{[]string{"-matrix", "fig9b", "-workers", "-1"}, "-workers -1 is negative"},
+		{[]string{"-workers", "-1", "-duration", "2s"}, "-workers -1 is negative"},
 	}
 	for _, c := range cases {
 		err := run(&bytes.Buffer{}, c.args)

@@ -339,7 +339,7 @@ func (s *ResourceAwareScheduler) IncrementalReschedule(
 	for id, d := range demands {
 		size[id] = s.weights.Apply(d).Total()
 	}
-	order := s.ordering(topo)
+	order := s.appendOrder(nil, topo)
 	sort.SliceStable(order, func(i, j int) bool {
 		return size[order[i].ID] > size[order[j].ID]
 	})

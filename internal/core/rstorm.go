@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/resource"
@@ -23,12 +24,20 @@ import (
 //
 // On each node it uses, the scheduler packs all of a topology's tasks into
 // a single worker process, maximizing intra-process communication.
+//
+// A ResourceAwareScheduler is safe for concurrent use and must not be
+// copied after first use.
 type ResourceAwareScheduler struct {
 	weights resource.Weights
 	classes resource.Classes
-	// ordering computes the task schedule order; replaced in ablation
-	// tests to measure the BFS ordering's contribution.
+	// ordering replaces Algorithm 3 in the task-ordering ablation; nil
+	// means TaskOrdering.
 	ordering func(*topology.Topology) []topology.Task
+	// scratch holds *placementView values between Schedule calls. It is
+	// the scheduler's, not the package's, so concurrent runs each with
+	// their own scheduler share nothing, and its buffers grow to the
+	// largest cluster and topology this scheduler has placed.
+	scratch sync.Pool
 }
 
 var _ Scheduler = (*ResourceAwareScheduler)(nil)
@@ -56,9 +65,8 @@ func WithTaskOrdering(f func(*topology.Topology) []topology.Task) RASOption {
 // defaults: memory hard, CPU and bandwidth soft, normalized weights.
 func NewResourceAwareScheduler(opts ...RASOption) *ResourceAwareScheduler {
 	s := &ResourceAwareScheduler{
-		weights:  resource.DefaultWeights(),
-		classes:  resource.DefaultClasses(),
-		ordering: TaskOrdering,
+		weights: resource.DefaultWeights(),
+		classes: resource.DefaultClasses(),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -72,29 +80,37 @@ func (s *ResourceAwareScheduler) Name() string { return "r-storm" }
 // TaskOrdering implements Algorithm 3 (TaskSelection): iterate the BFS
 // component ordering repeatedly, drawing one task from each component that
 // still has tasks, until every task is ordered. Adjacent components'
-// tasks end up interleaved and near each other in the ordering.
+// tasks end up interleaved and near each other in the ordering. The slice
+// is fresh.
 func TaskOrdering(topo *topology.Topology) []topology.Task {
-	order := topo.BFSOrder()
-	remaining := make([][]topology.Task, len(order)) // by BFS position
-	for i, comp := range order {
-		remaining[i] = topo.TasksOf(comp)
-	}
-	out := make([]topology.Task, 0, topo.TotalTasks())
-	for len(out) < topo.TotalTasks() {
+	return appendTaskOrdering(make([]topology.Task, 0, topo.TotalTasks()), topo)
+}
+
+// appendTaskOrdering appends Algorithm 3's ordering to dst: round r draws
+// task r of every component, in BFS order, that has more than r tasks.
+func appendTaskOrdering(dst []topology.Task, topo *topology.Topology) []topology.Task {
+	comps := topo.BFSTasks()
+	for r := 0; ; r++ {
 		drew := false
-		for i, tasks := range remaining {
-			if len(tasks) == 0 {
-				continue
+		for _, tasks := range comps {
+			if r < len(tasks) {
+				dst = append(dst, tasks[r])
+				drew = true
 			}
-			out = append(out, tasks[0])
-			remaining[i] = tasks[1:]
-			drew = true
 		}
 		if !drew {
-			break // defensive: cannot happen on a validated topology
+			return dst
 		}
 	}
-	return out
+}
+
+// appendOrder appends the task order this scheduler places in to dst:
+// Algorithm 3, or the ablation's ordering when one replaced it.
+func (s *ResourceAwareScheduler) appendOrder(dst []topology.Task, topo *topology.Topology) []topology.Task {
+	if s.ordering != nil {
+		return append(dst, s.ordering(topo)...)
+	}
+	return appendTaskOrdering(dst, topo)
 }
 
 // placementView is one placement pass's working set, indexed by cluster
@@ -109,10 +125,30 @@ func TaskOrdering(topo *topology.Topology) []topology.Task {
 //     one worker.
 //   - netdist is the network distance from the ref node, fixed once the
 //     ref node is chosen (Algorithm 4 picks it once per pass).
+//   - order is the task order and picks[k] the node index chosen for
+//     order[k].
+//
+// Schedule takes one from the scheduler's pool and returns it when done,
+// so a pass allocates none of these once the pool holds buffers of the
+// cluster's and topology's size.
 type placementView struct {
 	avail   []resource.Vector
 	slot    []int
 	netdist []float64
+	order   []topology.Task
+	picks   []int
+}
+
+// resize sets the node-indexed slices to n nodes, reusing their arrays
+// when they are large enough, and empties the task order.
+func (v *placementView) resize(n int) {
+	if cap(v.avail) < n {
+		v.avail = make([]resource.Vector, n)
+		v.slot = make([]int, n)
+		v.netdist = make([]float64, n)
+	}
+	v.avail, v.slot, v.netdist = v.avail[:n], v.slot[:n], v.netdist[:n]
+	v.order = v.order[:0]
 }
 
 // refDistances picks the ref node over avail and fills netdist with each
@@ -131,7 +167,11 @@ func (s *ResourceAwareScheduler) refDistances(c *cluster.Cluster, avail []resour
 	}
 }
 
-// Schedule implements Scheduler.
+// Schedule implements Scheduler. Its scratch comes from the scheduler's
+// pool, so once the pool holds scratch of the cluster's and topology's
+// size a call that fails for want of resources allocates only its error
+// and pickRefNode's per-rack sums; the error's text is built only if it
+// is read.
 func (s *ResourceAwareScheduler) Schedule(
 	topo *topology.Topology,
 	c *cluster.Cluster,
@@ -146,40 +186,71 @@ func (s *ResourceAwareScheduler) Schedule(
 	if c != state.Cluster() {
 		return nil, fmt.Errorf("scheduling %q: state tracks a different cluster", topo.Name())
 	}
-	hard := s.classes.Hard()
-	v := &placementView{
-		avail:   make([]resource.Vector, c.Size()),
-		slot:    make([]int, c.Size()),
-		netdist: make([]float64, c.Size()),
+	v, _ := s.scratch.Get().(*placementView)
+	if v == nil {
+		v = new(placementView)
 	}
+	defer s.scratch.Put(v)
+	v.resize(c.Size())
 	state.view(v.avail, v.slot)
 	s.refDistances(c, v.avail, v.netdist)
 
 	// Most calls in a full cluster fail part-way, so the pass records node
 	// indexes and builds the assignment only once every task has a node.
-	order := s.ordering(topo)
-	picks := make([]int, len(order))
-	for k, task := range order {
-		demand := topo.TaskDemand(task)
-		ni, ok := s.selectNode(v, hard, demand)
-		if !ok {
-			return nil, fmt.Errorf(
-				"task %s (demand %v): %w", task, demand, ErrInsufficientResources)
-		}
-		picks[k] = ni
-		v.avail[ni] = v.avail[ni].Sub(demand)
+	v.order = s.appendOrder(v.order, topo)
+	if cap(v.picks) < len(v.order) {
+		v.picks = make([]int, len(v.order))
+	}
+	v.picks = v.picks[:len(v.order)]
+	if k := s.place(v, topo, s.classes.Hard()); k >= 0 {
+		task := v.order[k]
+		return nil, &insufficientError{task: task, demand: topo.TaskDemand(task)}
 	}
 	assignment := &Assignment{
 		Topology:   topo.Name(),
 		Scheduler:  s.Name(),
-		Placements: make(map[int]Placement, len(order)),
+		Placements: make(map[int]Placement, len(v.order)),
 	}
-	for k, task := range order {
-		ni := picks[k]
+	for k, task := range v.order {
+		ni := v.picks[k]
 		assignment.Place(task.ID, Placement{Node: c.NodeAt(ni).ID, Slot: v.slot[ni]})
 	}
 	return assignment, nil
 }
+
+// place runs Algorithm 4 line 10 down the task order: each task goes to
+// selectNode's choice, which is debited and recorded in picks. It returns
+// the position of the first task no node can host, or -1 once every task
+// has a node.
+//
+//rstorm:hotpath
+func (s *ResourceAwareScheduler) place(v *placementView, topo *topology.Topology, hard resource.HardSet) int {
+	for k, task := range v.order {
+		demand := topo.TaskDemand(task)
+		ni, ok := s.selectNode(v, hard, demand)
+		if !ok {
+			return k
+		}
+		v.picks[k] = ni
+		v.avail[ni] = v.avail[ni].Sub(demand)
+	}
+	return -1
+}
+
+// insufficientError is Schedule's failure: no node can host task's demand
+// without violating a hard constraint. Most trials in a full cluster fail
+// and their errors are dropped unread, so the text is built only when
+// Error is called; it unwraps to ErrInsufficientResources.
+type insufficientError struct {
+	task   topology.Task
+	demand resource.Vector
+}
+
+func (e *insufficientError) Error() string {
+	return fmt.Sprintf("task %s (demand %v): %v", e.task, e.demand, ErrInsufficientResources)
+}
+
+func (e *insufficientError) Unwrap() error { return ErrInsufficientResources }
 
 // pickRefNode implements Algorithm 4 lines 6–9: the index of the node with
 // the most available resources inside the rack with the most available

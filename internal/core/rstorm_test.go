@@ -2,12 +2,17 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"runtime/debug"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"rstorm/internal/cluster"
 	"rstorm/internal/resource"
 	"rstorm/internal/topology"
+	"rstorm/internal/workloads"
 )
 
 // linearTopo builds spout -> b1 -> b2 -> b3, parallelism par, with the
@@ -227,23 +232,147 @@ func TestRStormDeterministic(t *testing.T) {
 
 // TestScheduleAllocsIndependentOfClusterSize pins Schedule's allocation
 // profile: one call on a fixed topology allocates as many times on 12
-// nodes as on 256, so nothing is allocated per node.
+// nodes as on 256, so nothing is allocated per node, and no more than a
+// fixed count. A call into a filled cluster, the common case in a
+// multi-tenant round, allocates only its error.
 func TestScheduleAllocsIndependentOfClusterSize(t *testing.T) {
+	const (
+		// pickRefNode's per-rack sums, then the Assignment, its map and
+		// the map's buckets, or the error.
+		maxPlaced = 4
+		maxFailed = 2
+	)
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops pooled scratch at random, so Schedule reallocates it")
+	}
 	topo := linearTopo(t, 2, 25, 256)
 	large, err := cluster.TwoRack(8, 32, cluster.EmulabNodeSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := func(c *cluster.Cluster) float64 {
+	// The scratch lives in a sync.Pool, which a collection may empty;
+	// none runs while collection is off, so every run after
+	// AllocsPerRun's warm-up finds the scratch in the pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(c *cluster.Cluster, filled bool) float64 {
 		s, state := NewResourceAwareScheduler(), NewGlobalState(c)
-		return testing.AllocsPerRun(50, func() {
-			if _, err := s.Schedule(topo, c, state); err != nil {
+		if filled {
+			// One task per node takes all of its memory, the hard axis.
+			b := topology.NewBuilder("fill")
+			b.SetSpout("fill", c.Size()).SetMemoryLoad(cluster.EmulabNodeSpec().Capacity.MemoryMB)
+			fill, err := b.Build()
+			if err != nil {
 				t.Fatal(err)
+			}
+			a, err := EvenScheduler{}.Schedule(fill, c, state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := state.Apply(fill, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			_, err := s.Schedule(topo, c, state)
+			if filled != errors.Is(err, ErrInsufficientResources) || (!filled && err != nil) {
+				t.Fatalf("filled %v: Schedule error %v", filled, err)
 			}
 		})
 	}
-	if small, large := allocs(emulab12(t)), allocs(large); small != large {
-		t.Errorf("Schedule allocates %v times on Emulab12 but %v on TwoRack(8,32)", small, large)
+	for _, tc := range []struct {
+		filled bool
+		max    float64
+	}{{false, maxPlaced}, {true, maxFailed}} {
+		small, large := allocs(emulab12(t), tc.filled), allocs(large, tc.filled)
+		if small != large {
+			t.Errorf("filled %v: Schedule allocates %v times on Emulab12 but %v on TwoRack(8,32)",
+				tc.filled, small, large)
+		}
+		if large > tc.max {
+			t.Errorf("filled %v: Schedule allocates %v times, want at most %v", tc.filled, large, tc.max)
+		}
+	}
+}
+
+// TestScheduleConcurrentUse runs one scheduler from 8 goroutines, each
+// placing seeded random topologies onto its own GlobalState over one of
+// four clusters of 8 to 256 nodes, so pooled scratch sized for one
+// cluster is reused for another. Every goroutine must see exactly the
+// placements and error texts of the same sequence run serially.
+func TestScheduleConcurrentUse(t *testing.T) {
+	const goroutines, steps = 8, 12
+	var clusters []*cluster.Cluster
+	for _, shape := range [][2]int{{8, 32}, {2, 6}, {4, 8}, {2, 4}} {
+		c, err := cluster.TwoRack(shape[0], shape[1], cluster.EmulabNodeSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters = append(clusters, c)
+	}
+	topos := make([][]*topology.Topology, goroutines)
+	for g := range topos {
+		for step := 0; step < steps; step++ {
+			topo, err := workloads.RandomTopology(int64(g*100+step), workloads.RandomParams{
+				MaxComponents: 6, MaxParallelism: 10, MaxMemoryMB: 1500,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			topos[g] = append(topos[g], topo)
+		}
+	}
+	s := NewResourceAwareScheduler()
+	run := func(g int) []string {
+		c := clusters[g%len(clusters)]
+		state := NewGlobalState(c)
+		var out []string
+		for _, topo := range topos[g] {
+			a, err := s.Schedule(topo, c, state)
+			if err != nil {
+				if !errors.Is(err, ErrInsufficientResources) {
+					t.Errorf("goroutine %d: %s: %v", g, topo.Name(), err)
+				}
+				out = append(out, "error: "+err.Error())
+				continue
+			}
+			if err := state.Apply(topo, a); err != nil {
+				out = append(out, "apply: "+err.Error())
+				continue
+			}
+			out = append(out, a.String())
+		}
+		return out
+	}
+	want := make([][]string, goroutines)
+	placed, failed := 0, 0
+	for g := range want {
+		want[g] = run(g)
+		for _, line := range want[g] {
+			if strings.HasPrefix(line, "error: ") {
+				failed++
+			} else {
+				placed++
+			}
+		}
+	}
+	if placed == 0 || failed == 0 {
+		t.Fatalf("inputs too one-sided: %d placed, %d failed", placed, failed)
+	}
+	got := make([][]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = run(g)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want[g]) {
+			t.Errorf("goroutine %d: concurrent run differs from the serial one:\n got %q\nwant %q",
+				g, got[g], want[g])
+		}
 	}
 }
 

@@ -134,6 +134,10 @@ func (b *Builder) Build() (*Topology, error) {
 		t.outgoing[s.From] = append(t.outgoing[s.From], s)
 		t.incoming[s.To] = append(t.incoming[s.To], s)
 	}
+	// Algorithm 2 depends only on the graph, so it runs once here rather
+	// than on every scheduling trial; validateShape reads it as the set of
+	// components reachable from a spout.
+	t.bfs = bfsOrder(t)
 	if err := validateShape(t); err != nil {
 		return nil, fmt.Errorf("topology %q: %w", b.name, err)
 	}
@@ -150,6 +154,10 @@ func (b *Builder) Build() (*Topology, error) {
 			id++
 		}
 		t.taskIndex[name] = tasks
+	}
+	t.bfsTasks = make([][]Task, len(t.bfs))
+	for i, name := range t.bfs {
+		t.bfsTasks[i] = t.taskIndex[name]
 	}
 	return t, nil
 }

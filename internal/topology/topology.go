@@ -40,6 +40,11 @@ type Topology struct {
 	taskIndex map[string][]Task // component name -> its tasks
 	outgoing  map[string][]Stream
 	incoming  map[string][]Stream
+
+	// bfs is Algorithm 2's component ordering and bfsTasks each of those
+	// components' tasks (taskIndex's slices), both fixed by Build.
+	bfs      []string
+	bfsTasks [][]Task
 }
 
 // Name returns the topology's name.
@@ -168,14 +173,28 @@ func (t *Topology) TotalDemand() resource.Vector {
 	return total
 }
 
-// BFSOrder implements Algorithm 2 (BFSTopologyTraversal): a breadth-first
+// BFSOrder returns the component ordering of Algorithm 2
+// (BFSTopologyTraversal), computed once by Build (see bfsOrder). The slice
+// is fresh.
+func (t *Topology) BFSOrder() []string {
+	out := make([]string, len(t.bfs))
+	copy(out, t.bfs)
+	return out
+}
+
+// BFSTasks returns the tasks of each component in BFSOrder, each in index
+// order, without copying: the outer and inner slices are shared by every
+// caller and must be treated as read-only.
+func (t *Topology) BFSTasks() [][]Task { return t.bfsTasks }
+
+// bfsOrder implements Algorithm 2 (BFSTopologyTraversal): a breadth-first
 // traversal over the downstream adjacency starting from the spouts,
 // returning a component ordering in which adjacent components appear in
 // close succession. With multiple spouts, all spouts seed the queue in
 // insertion order, matching "we start traversing the topology starting from
 // the spouts" (§4.1.1). Cycles are handled by the visited set, so the
 // traversal is not limited to acyclic topologies (§7).
-func (t *Topology) BFSOrder() []string {
+func bfsOrder(t *Topology) []string {
 	visited := make(map[string]bool, len(t.order))
 	queue := make([]string, 0, len(t.order))
 	out := make([]string, 0, len(t.order))
@@ -198,8 +217,8 @@ func (t *Topology) BFSOrder() []string {
 			}
 		}
 	}
-	// Components unreachable from any spout are rejected at Build time,
-	// so out covers the whole topology.
+	// Build rejects a topology whose traversal misses a component, so on
+	// a built topology out covers every component.
 	return out
 }
 

@@ -8,7 +8,8 @@ import (
 // validateShape checks structural properties once the component and stream
 // tables are assembled: spouts take no inputs, bolts have at least one
 // input, there is at least one spout, and every component is reachable from
-// some spout (otherwise it could never receive tuples).
+// some spout (otherwise it could never receive tuples): the spouts' BFS,
+// t.bfs, must cover every component.
 func validateShape(t *Topology) error {
 	spouts := 0
 	for _, name := range t.order {
@@ -29,25 +30,11 @@ func validateShape(t *Topology) error {
 		return fmt.Errorf("topology has no spouts")
 	}
 
-	reached := make(map[string]bool, len(t.order))
-	var queue []string
-	for _, name := range t.order {
-		if t.components[name].Kind == KindSpout {
-			queue = append(queue, name)
+	if len(t.bfs) != len(t.order) {
+		reached := make(map[string]bool, len(t.bfs))
+		for _, name := range t.bfs {
 			reached[name] = true
 		}
-	}
-	for len(queue) > 0 {
-		com := queue[0]
-		queue = queue[1:]
-		for _, s := range t.outgoing[com] {
-			if !reached[s.To] {
-				reached[s.To] = true
-				queue = append(queue, s.To)
-			}
-		}
-	}
-	if len(reached) != len(t.order) {
 		var orphans []string
 		for _, name := range t.order {
 			if !reached[name] {

@@ -133,6 +133,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxWindows bounds Duration / MetricsWindow. Every window boundary is a
+// flush over every task, so a window tiny against the duration (1 ns over
+// 10 ms is 10^7 flushes) would run for minutes before printing anything.
+const maxWindows = 1_000_000
+
 // validate rejects nonsensical configurations.
 func (c Config) validate() error {
 	if c.Duration <= 0 {
@@ -143,6 +148,10 @@ func (c Config) validate() error {
 	}
 	if c.MetricsWindow > c.Duration {
 		return fmt.Errorf("metrics window %v exceeds duration %v", c.MetricsWindow, c.Duration)
+	}
+	if n := int64(c.Duration / c.MetricsWindow); n > maxWindows {
+		return fmt.Errorf("metrics window %v over duration %v makes %d windows, want at most %d",
+			c.MetricsWindow, c.Duration, n, maxWindows)
 	}
 	if c.TupleTimeout < 0 {
 		return fmt.Errorf("tuple timeout %v, want >= 0", c.TupleTimeout)

@@ -331,6 +331,13 @@ func TestSimulationValidation(t *testing.T) {
 	if _, err := New(c, Config{Duration: time.Second, MetricsWindow: -time.Millisecond}); err == nil {
 		t.Error("negative window accepted")
 	}
+	if _, err := New(c, Config{Duration: 10 * time.Millisecond, MetricsWindow: time.Nanosecond}); err == nil ||
+		!strings.Contains(err.Error(), "makes 10000000 windows, want at most 1000000") {
+		t.Errorf("10^7 windows: err = %v, want a refusal naming both counts", err)
+	}
+	if _, err := New(c, Config{Duration: time.Second, MetricsWindow: time.Microsecond}); err != nil {
+		t.Errorf("10^6 windows refused: %v", err)
+	}
 
 	sim, err := New(c, shortCfg())
 	if err != nil {

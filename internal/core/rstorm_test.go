@@ -234,7 +234,7 @@ func TestRStormDeterministic(t *testing.T) {
 // profile: one call on a fixed topology allocates as many times on 12
 // nodes as on 256, so nothing is allocated per node, and no more than a
 // fixed count. A call into a filled cluster, the common case in a
-// multi-tenant round, allocates only its error.
+// multi-tenant round, allocates only its error and the per-rack sums.
 func TestScheduleAllocsIndependentOfClusterSize(t *testing.T) {
 	const (
 		// pickRefNode's per-rack sums, then the Assignment, its map and
